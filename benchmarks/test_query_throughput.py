@@ -195,9 +195,8 @@ def _assert_parity(searchers, trees, limit) -> None:
             == [(h.doc_id, h.score) for h in c]
 
 
-def test_query_serving_modes(pipeline_result, results_dir, tmp_path):
-    """Compare the three serving paths and the two index formats on
-    the same run; emit ``benchmarks/results/BENCH_query.json``.
+def test_query_serving_modes(pipeline_result, results_dir):
+    """Compare the three serving paths on the same run; emit ``benchmarks/results/BENCH_query.json``.
 
     Deliberately does NOT use the pytest-benchmark fixture so the CI
     smoke job can run it with plain pytest.  The emitted document
@@ -205,15 +204,13 @@ def test_query_serving_modes(pipeline_result, results_dir, tmp_path):
     scanned per path on two corpora — the serving-scale synthetic
     index (headline: where early termination has headroom) and the
     paper's 10-match corpus (where candidate sets are tiny and tie
-    groups dense, so pruning saves postings but not wall time) — plus
-    JSON vs binary load time for the paper's FULL_INF index.  The
-    asserts hold the pruned+cached paths and the binary format to
-    actually beating their baselines within this run.
+    groups dense, so pruning saves postings but not wall time).  The
+    asserts hold the pruned+cached paths to actually beating their
+    baselines within this run.
     """
     from repro.core import KeywordSearchEngine
     from repro.core.observability import (Observability, get_observability,
                                           install_observability)
-    from repro.search.index import load_index, save_index
     from repro.search.searcher import IndexSearcher
     from repro.search.similarity import ClassicSimilarity
 
@@ -240,17 +237,6 @@ def test_query_serving_modes(pipeline_result, results_dir, tmp_path):
     _assert_parity(scale_searchers, scale_trees[:25], limit)
     _assert_parity(paper_searchers, paper_trees[:25], limit)
 
-    # index load: JSON vs binary (lazy header-only decode)
-    json_path = save_index(paper_index, tmp_path / "json", format="json")
-    binary_path = save_index(paper_index, tmp_path / "binary",
-                             format="binary")
-    start = time.perf_counter()
-    load_index(tmp_path / "json", paper_index.name)
-    json_load_s = time.perf_counter() - start
-    start = time.perf_counter()
-    load_index(tmp_path / "binary", paper_index.name)
-    binary_load_s = time.perf_counter() - start
-
     scale["synthetic"] = True
     paper["result_cache"] = {"hits": cache_info.hits,
                              "misses": cache_info.misses,
@@ -261,12 +247,6 @@ def test_query_serving_modes(pipeline_result, results_dir, tmp_path):
         "latency_ms_per_query": scale["latency_ms_per_query"],
         "postings_scanned": scale["postings_scanned"],
         "paper_corpus": paper,
-        "index_load": {
-            "json_bytes": json_path.stat().st_size,
-            "binary_bytes": binary_path.stat().st_size,
-            "json_load_ms": round(json_load_s * 1000, 3),
-            "binary_load_ms": round(binary_load_s * 1000, 3),
-        },
     }
     write_result(results_dir, "BENCH_query.json",
                  json.dumps(document, indent=2) + "\n")
@@ -289,6 +269,3 @@ def test_query_serving_modes(pipeline_result, results_dir, tmp_path):
     assert paper["postings_scanned"]["cached"] == 0
     assert paper_cached_s < paper_exhaustive_s
     assert paper_cached_s < paper_pruned_s
-
-    assert binary_load_s < json_load_s
-    assert binary_path.stat().st_size < json_path.stat().st_size

@@ -38,8 +38,8 @@ __all__ = ["SearchResponse", "SemanticSearchApplication"]
 
 PathLike = Union[str, Path]
 
-#: either serving backend: the mutable in-memory index or the
-#: segmented on-disk one — the facade duck-types both.
+#: a pipeline run's in-memory index or a saved, segmented one — the
+#: facade duck-types both.
 AnyIndex = Union[InvertedIndex, SegmentedIndex]
 
 
@@ -61,15 +61,15 @@ class SearchResponse:
 class SemanticSearchApplication:
     """Query-time facade over a built (or loaded) inferred index.
 
-    Both serving backends work: the mutable in-memory
-    :class:`InvertedIndex` and the mmap'd
+    It searches either a pipeline run's in-memory
+    :class:`InvertedIndex` (:meth:`from_pipeline`) or the mmap'd
     :class:`~repro.search.index.segments.SegmentedIndex` that
-    :meth:`open` auto-detects from a ``build --segmented`` directory.
-    Every query-time collaborator (feedback learner, spell checker,
-    query result cache) keys its derived state on the backend's
-    ``generation`` counter, so live ingestion into a segmented
-    directory — commit a delta segment, :meth:`refresh` — makes new
-    documents searchable, learnable and spell-known without restart.
+    :meth:`open` loads from a saved directory.  Every query-time
+    collaborator (feedback learner, spell checker, query result cache)
+    keys its derived state on the index's ``generation`` counter, so
+    live ingestion into a saved directory — commit a delta segment,
+    :meth:`refresh` — makes new documents searchable, learnable and
+    spell-known without restart.
     """
 
     def __init__(self, inferred_index: AnyIndex,
@@ -96,7 +96,8 @@ class SemanticSearchApplication:
     @classmethod
     def persist(cls, result: PipelineResult,
                 directory: PathLike) -> Path:
-        """Save the online-serving indexes of a pipeline run."""
+        """Save the online-serving indexes of a pipeline run, one
+        ``<name>.segd`` segment directory each."""
         target = Path(directory)
         save_index(result.index(IndexName.FULL_INF), target)
         save_index(result.index(IndexName.PHR_EXP), target)
@@ -126,9 +127,9 @@ class SemanticSearchApplication:
         return self.index.generation
 
     def refresh(self) -> bool:
-        """Re-open segmented backends at their newest committed
-        manifest; returns True when anything changed.  A no-op over
-        in-memory indexes (their mutations are visible immediately)."""
+        """Re-open saved indexes at their newest committed manifest;
+        returns True when anything changed.  A no-op over in-memory
+        indexes (their mutations are visible immediately)."""
         changed = False
         for index in (self.index, self.phrasal_index):
             refresh = getattr(index, "refresh", None)
@@ -137,8 +138,8 @@ class SemanticSearchApplication:
         return changed
 
     def close(self) -> None:
-        """Release segmented backends' mmaps (no-op for in-memory
-        indexes).  In-flight pinned queries finish first."""
+        """Release saved indexes' mmaps (no-op for in-memory indexes).
+        In-flight pinned queries finish first."""
         for index in (self.index, self.phrasal_index):
             close = getattr(index, "close", None)
             if close is not None:

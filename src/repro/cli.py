@@ -5,20 +5,19 @@ Subcommands::
     python -m repro corpus              # corpus statistics (§4)
     python -m repro build -d INDEXDIR   # run the pipeline, save indexes
     python -m repro search QUERY        # keyword search (built or saved)
-    python -m repro merge -d INDEXDIR   # tiered merge of segmented indexes
+    python -m repro merge -d INDEXDIR   # tiered merge of index segments
     python -m repro evaluate            # Tables 4, 5 and 6
     python -m repro ontology            # Fig. 2 class hierarchy
     python -m repro loadtest            # open-loop serving load test
     python -m repro serve -d INDEXDIR   # HTTP service with live ingest
 
-``build`` persists every index under the given directory — JSON by
-default, the compact binary format with ``--format binary``, or (with
-``--segmented``) immutable mmap'd segment directories built straight
-from the ingestion workers (``repro build`` rejects unknown formats
-with exit code 2, the user-error code below); ``search --index-dir``
-then answers queries without re-running the pipeline — the
-offline/online split of §3.5 — auto-detecting whichever format is on
-disk.  ``merge`` runs the tiered merge policy over segmented indexes
+``build`` persists every index under the given directory as an
+immutable mmap'd segment directory, ``<name>.segd`` — one segment per
+index, or with ``--segmented`` one per chunk of matches, sealed
+straight by the ingestion workers.  ``search --index-dir`` then
+answers queries without re-running the pipeline — the offline/online
+split of §3.5 — and ``serve`` serves the same directory with live
+ingest.  ``merge`` runs the tiered merge policy over the segments
 (documents, doc ids and rankings are unchanged; only segment counts
 drop).
 """
@@ -43,9 +42,8 @@ from repro.evaluation import EvaluationHarness, render_table
 from repro.ontology import soccer_ontology
 from repro.loadgen import ARRIVAL_PROCESSES, PROFILES
 from repro.search import Highlighter, load_index, save_index
-from repro.search.index import (DEFAULT_MERGE_FACTOR, INDEX_FORMATS,
-                                SEGMENT_DIR_SUFFIX, IndexDirectory,
-                                SegmentedIndex)
+from repro.search.index import (DEFAULT_MERGE_FACTOR, IndexDirectory,
+                                list_indexes, segment_dir_path)
 from repro.soccer import corpus_statistics, standard_corpus
 
 __all__ = ["main", "build_parser",
@@ -118,14 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
         "build", help="run the pipeline and persist all indexes")
     build.add_argument("-d", "--index-dir", type=Path, required=True,
                        help="directory to write the indexes to")
-    build.add_argument("--format", default="json",
-                       choices=list(INDEX_FORMATS),
-                       help="on-disk index format: 'json' (legacy, "
-                            "debuggable) or 'binary' (compact "
-                            "delta+varint .ridx, lazy-loading)")
     build.add_argument("--segmented", action="store_true",
-                       help="build immutable mmap'd segment "
-                            "directories instead of monolithic files; "
+                       help="seal one segment per --segment-size "
+                            "matches instead of one per index; "
                             "ingestion workers seal their own "
                             "segments, so --workers scales (results "
                             "are bit-identical either way)")
@@ -135,15 +128,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 1)")
 
     merge = subparsers.add_parser(
-        "merge", help="run the tiered merge policy over segmented "
+        "merge", help="run the tiered merge policy over saved "
                       "indexes (fewer segments, same documents and "
                       "rankings)")
     merge.add_argument("-d", "--index-dir", type=Path, required=True,
-                       help="directory holding <name>.segd indexes")
+                       help="directory written by 'repro build'")
     merge.add_argument("-i", "--index", default=None,
                        choices=[*IndexName.BUILT],
                        help="merge only this index (default: every "
-                            "segmented index found)")
+                            "index found)")
     merge.add_argument("--merge-factor", type=int,
                        default=DEFAULT_MERGE_FACTOR, metavar="N",
                        help="adjacent same-tier segments needed "
@@ -232,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="HTTP/JSON retrieval service with live ingestion "
              "(docs/serving.md)")
     serve.add_argument("-d", "--index-dir", type=Path, required=True,
-                       help="a built index directory (segmented "
-                            "builds enable POST /ingest)")
+                       help="a directory written by 'repro build'")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("-p", "--port", type=int, default=8080,
@@ -336,7 +328,7 @@ def _command_build(args) -> int:
     elapsed = time.perf_counter() - started
     print(f"pipeline finished in {elapsed:.1f}s")
     for name, index in result.indexes.items():
-        path = save_index(index, args.index_dir, format=args.format)
+        path = save_index(index, args.index_dir)
         print(f"  {name:10} {index.doc_count:5} docs → {path}")
     return 0
 
@@ -367,22 +359,17 @@ def _build_segmented(args, corpus) -> int:
 
 def _command_merge(args) -> int:
     target: Path = args.index_dir
-    if args.index is not None:
-        names = [args.index]
-    else:
-        names = sorted(entry.name[:-len(SEGMENT_DIR_SUFFIX)]
-                       for entry in target.glob(f"*{SEGMENT_DIR_SUFFIX}")
-                       if entry.is_dir())
+    names = ([args.index] if args.index is not None
+             else list_indexes(target))
     if not names:
-        print(f"error: no segmented indexes in {target}",
+        print(f"error: no indexes in {target}", file=sys.stderr)
+        print(f"hint: build them with 'repro build -d {target}'",
               file=sys.stderr)
-        print("hint: build them with 'repro build --segmented "
-              f"-d {target}'", file=sys.stderr)
         return EXIT_USER_ERROR
     for name in names:
-        path = target / f"{name}{SEGMENT_DIR_SUFFIX}"
+        path = segment_dir_path(target, name)
         if not path.is_dir():
-            print(f"error: no segmented index {name!r} in {target}",
+            print(f"error: no index {name!r} in {target}",
                   file=sys.stderr)
             return EXIT_USER_ERROR
         directory = IndexDirectory(path, name=name)
@@ -571,8 +558,8 @@ def _command_serve(args) -> int:
     if not args.index_dir.exists():
         print(f"error: index directory {args.index_dir} does not "
               f"exist", file=sys.stderr)
-        print(f"hint: run 'repro build --segmented -d "
-              f"{args.index_dir}' first", file=sys.stderr)
+        print(f"hint: run 'repro build -d {args.index_dir}' first",
+              file=sys.stderr)
         return EXIT_USER_ERROR
 
     # the service always meters itself; installing the process-wide
@@ -595,11 +582,9 @@ def _command_serve(args) -> int:
         signal.signal(signal.SIGTERM, _terminate)
         signal.signal(signal.SIGINT, _terminate)
         with ReproService(config) as service:
-            ingest = ("enabled" if service.ingest.directories
-                      else "disabled (not a segmented build)")
             print(f"serving {args.index_dir} on {service.url} "
                   f"(indexes: {', '.join(sorted(service.engines))}; "
-                  f"live ingest {ingest})", file=sys.stderr)
+                  "live ingest enabled)", file=sys.stderr)
             print("endpoints: POST /search /feedback /ingest, "
                   "GET /metrics /healthz — Ctrl-C to stop",
                   file=sys.stderr)
@@ -670,13 +655,12 @@ def _command_stats(args) -> int:
             print(f"error: {error}", file=sys.stderr)
             return EXIT_USER_ERROR
         print(render_stats(collect_stats(index)))
-        if isinstance(index, SegmentedIndex):
-            print()
-            print(f"segments (generation {index.generation}):")
-            for info in index.segment_infos():
-                print(f"  {info.file:24} {info.doc_count:>6} docs "
-                      f"{info.size_bytes:>12,} bytes")
-            index.close()
+        print()
+        print(f"segments (generation {index.generation}):")
+        for info in index.segment_infos():
+            print(f"  {info.file:24} {info.doc_count:>6} docs "
+                  f"{info.size_bytes:>12,} bytes")
+        index.close()
     return 0
 
 

@@ -3,7 +3,7 @@
 A from-scratch inverted-index engine providing what the paper's system
 uses from Apache Lucene: analyzers, multi-field documents with boosts,
 TF-IDF (classic) and BM25 scoring, term/phrase/boolean/prefix queries,
-a query-string parser and JSON persistence.
+a query-string parser and segment-based persistence.
 """
 
 from repro.search.analysis import (Analyzer, KeywordAnalyzer,

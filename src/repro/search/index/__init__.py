@@ -1,7 +1,6 @@
 """Inverted index: postings, writer, persistence, segments."""
 
-from repro.search.index.directory import (INDEX_FORMATS, index_path,
-                                          list_indexes, load_index,
+from repro.search.index.directory import (list_indexes, load_index,
                                           save_index, segment_dir_path)
 from repro.search.index.inverted import InvertedIndex
 from repro.search.index.postings import Posting, PostingsList
@@ -23,9 +22,7 @@ __all__ = [
     "save_index",
     "load_index",
     "list_indexes",
-    "index_path",
     "segment_dir_path",
-    "INDEX_FORMATS",
     "SegmentReader",
     "write_segment",
     "merge_segment_files",

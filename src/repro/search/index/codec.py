@@ -1,57 +1,19 @@
-"""Compact binary index format (``.ridx``).
+"""Varint primitives shared by the segment codec and the C kernels.
 
-Layout (little-endian)::
-
-    magic   "RIDX"                      4 bytes
-    version u8                          currently 1
-    hlen    u32                         header length in bytes
-    header  JSON, utf-8                 hlen bytes
-    blocks  one postings block per field
-
-The JSON header carries everything that is cheap to keep as JSON —
-index name, per-field document lengths, index-time boosts, the stored
-fields — plus a table of ``(field, offset, length)`` entries locating
-each field's postings block inside ``blocks``.  The postings blocks
-hold the bulk of the data in delta+varint form::
-
-    block   := term_count, term*
-    term    := len(utf8), utf8 bytes, doc_freq, doc*
-    doc     := zigzag delta(doc_id), freq, zigzag delta(position)*
-
-All integers are LEB128 varints; doc ids and positions are
-delta-encoded against their predecessor (zigzag, so out-of-order
-inputs still round-trip).  On a realistic index this is several times
-smaller than the JSON form, and decoding is deferred: ``read_index``
-parses only the header and registers a lazy loader per field, so
-loading is O(header) and a query touching two fields decodes exactly
-two blocks.
+Every integer in a segment file (:mod:`repro.search.index.segment`) is
+an unsigned LEB128 varint; signed deltas are zigzag-mapped first so
+small magnitudes of either sign get short codes.  :data:`MAGIC` is the
+four-byte prelude every segment file starts with.
 """
 
 from __future__ import annotations
 
 import io
-import json
-import struct
-from pathlib import Path
-from typing import Dict, Union
 
-from repro.errors import IndexError_
-from repro.search.index.inverted import InvertedIndex
-from repro.search.index.postings import Posting, PostingsList
-
-__all__ = ["MAGIC", "VERSION", "BINARY_SUFFIX",
-           "write_index", "read_index", "decode_uvarints"]
+__all__ = ["MAGIC", "decode_uvarints"]
 
 MAGIC = b"RIDX"
-VERSION = 1
-BINARY_SUFFIX = ".ridx"
 
-PathLike = Union[str, Path]
-
-
-# ----------------------------------------------------------------------
-# varint primitives
-# ----------------------------------------------------------------------
 
 def _write_uvarint(out: io.BytesIO, value: int) -> None:
     while True:
@@ -123,153 +85,3 @@ def _zigzag(value: int) -> int:
     # non-zero mask and the encoding stops round-tripping.  Branch on
     # the sign instead — no width assumption.
     return (value << 1) if value >= 0 else ((-value) << 1) - 1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
-# ----------------------------------------------------------------------
-# encoding
-# ----------------------------------------------------------------------
-
-def _encode_field_block(terms: Dict[str, PostingsList]) -> bytes:
-    out = io.BytesIO()
-    _write_uvarint(out, len(terms))
-    for term in sorted(terms):
-        raw = term.encode("utf-8")
-        _write_uvarint(out, len(raw))
-        out.write(raw)
-        postings = terms[term]
-        _write_uvarint(out, len(postings))
-        previous_doc = 0
-        for posting in postings:
-            _write_uvarint(out, _zigzag(posting.doc_id - previous_doc))
-            previous_doc = posting.doc_id
-            _write_uvarint(out, len(posting.positions))
-            previous_position = 0
-            for position in posting.positions:
-                _write_uvarint(out,
-                               _zigzag(position - previous_position))
-                previous_position = position
-    return out.getvalue()
-
-
-def _decode_field_block(data: bytes) -> Dict[str, PostingsList]:
-    terms: Dict[str, PostingsList] = {}
-    term_count, pos = _read_uvarint(data, 0)
-    for _ in range(term_count):
-        length, pos = _read_uvarint(data, pos)
-        term = data[pos:pos + length].decode("utf-8")
-        pos += length
-        doc_freq, pos = _read_uvarint(data, pos)
-        postings = PostingsList()
-        doc_id = 0
-        for _ in range(doc_freq):
-            delta, pos = _read_uvarint(data, pos)
-            doc_id += _unzigzag(delta)
-            frequency, pos = _read_uvarint(data, pos)
-            position = 0
-            positions = []
-            for _ in range(frequency):
-                position_delta, pos = _read_uvarint(data, pos)
-                position += _unzigzag(position_delta)
-                positions.append(position)
-            postings._append(Posting(doc_id, positions))
-        terms[term] = postings
-    return terms
-
-
-# ----------------------------------------------------------------------
-# whole-index IO
-# ----------------------------------------------------------------------
-
-def write_index(index: InvertedIndex, path: PathLike) -> Path:
-    """Serialize ``index`` to ``path`` in the binary format."""
-    index._ensure_all_fields()
-    blocks = []
-    field_table = []
-    offset = 0
-    for field_name in sorted(index._terms):
-        block = _encode_field_block(index._terms[field_name])
-        field_table.append({"name": field_name, "offset": offset,
-                            "length": len(block)})
-        blocks.append(block)
-        offset += len(block)
-    header = {
-        "name": index.name,
-        "lengths": {field_name: {str(doc): count
-                                 for doc, count in lengths.items()}
-                    for field_name, lengths in index._lengths.items()},
-        "boosts": {field_name: {str(doc): boost
-                                for doc, boost in boosts.items()}
-                   for field_name, boosts in index._boosts.items()},
-        "stored": index._stored,
-        "fields": field_table,
-    }
-    raw_header = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    path = Path(path)
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(struct.pack("<B", VERSION))
-        handle.write(struct.pack("<I", len(raw_header)))
-        handle.write(raw_header)
-        for block in blocks:
-            handle.write(block)
-    return path
-
-
-def read_index(path: PathLike, lazy: bool = True) -> InvertedIndex:
-    """Deserialize an index written by :func:`write_index`.
-
-    With ``lazy`` (the default) only the header is decoded now; each
-    field's postings block is decoded on the field's first read via
-    :meth:`InvertedIndex._attach_lazy_field`.
-    """
-    path = Path(path)
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if data[:4] != MAGIC:
-        raise IndexError_(f"{path} is not a binary index "
-                          f"(bad magic {data[:4]!r})")
-    version = data[4]
-    if version != VERSION:
-        raise IndexError_(f"unsupported binary index version {version} "
-                          f"in {path} (supported: {VERSION})")
-    (header_length,) = struct.unpack_from("<I", data, 5)
-    header_start = 9
-    blocks_start = header_start + header_length
-    header = json.loads(
-        data[header_start:blocks_start].decode("utf-8"))
-
-    index = InvertedIndex(name=header.get("name", "index"))
-    index._lengths = {
-        field_name: {int(doc): count for doc, count in lengths.items()}
-        for field_name, lengths in header.get("lengths", {}).items()}
-    index._boosts = {
-        field_name: {int(doc): boost for doc, boost in boosts.items()}
-        for field_name, boosts in header.get("boosts", {}).items()}
-    index._stored = [
-        {name: list(values) for name, values in doc.items()}
-        for doc in header.get("stored", [])]
-    index._field_names = {
-        name for doc in index._stored for name in doc}
-    for field_name, boosts in index._boosts.items():
-        for boost in boosts.values():
-            index._note_boost(field_name, boost)
-
-    def make_loader(start: int, end: int):
-        def loader() -> Dict[str, PostingsList]:
-            return _decode_field_block(data[start:end])
-        return loader
-
-    for entry in header.get("fields", []):
-        start = blocks_start + entry["offset"]
-        end = start + entry["length"]
-        if lazy:
-            index._attach_lazy_field(entry["name"], make_loader(start, end))
-        else:
-            index._terms[entry["name"]] = _decode_field_block(
-                data[start:end])
-            index._field_names.add(entry["name"])
-    return index

@@ -1,60 +1,33 @@
-"""Index persistence: save/load an inverted index as JSON or binary.
+"""Index persistence: every saved index is a segment directory.
 
-A directory holds one entry per index: ``<name>.json`` (the legacy,
-debuggable format), ``<name>.ridx`` (the compact binary format, see
-:mod:`repro.search.index.codec`), or a ``<name>.segd/`` segment
-directory (immutable mmap'd segments plus a manifest, see
-:mod:`repro.search.index.segments`).  :func:`load_index` auto-detects
-which one is present — callers never name a format when reading.
-Precedence when several exist: segmented > binary > JSON (newest
-serving format wins; the others are typically debugging exports or
-leftovers of the same index).
+A directory holds one ``<name>.segd/`` entry per index: immutable
+mmap'd segments plus an atomic ``segments_<N>`` manifest (see
+:mod:`repro.search.index.segments`).  That is the only persisted
+format.  :func:`save_index` seals an in-memory
+:class:`~repro.search.index.inverted.InvertedIndex` as one segment;
+``repro build --segmented`` writes many, one per chunk of matches.
+Either way :func:`load_index` opens a
+:class:`~repro.search.index.segments.SegmentedIndex`.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import List, Union
 
 from repro.errors import IndexError_
-from repro.search.index import codec
 from repro.search.index.inverted import InvertedIndex
 from repro.search.index.segments import (SEGMENT_DIR_SUFFIX,
                                          IndexDirectory, SegmentedIndex)
 
-__all__ = ["save_index", "load_index", "list_indexes", "index_path",
-           "segment_dir_path", "INDEX_FORMATS"]
+__all__ = ["save_index", "load_index", "list_indexes",
+           "segment_dir_path"]
 
 PathLike = Union[str, Path]
 
-#: accepted values for ``save_index(..., format=...)``
-INDEX_FORMATS = ("json", "binary")
-
-
-def index_path(directory: PathLike, name: str,
-               format: str = "json") -> Path:
-    """The file an index of ``name`` would occupy in ``directory``."""
-    suffix = codec.BINARY_SUFFIX if format == "binary" else ".json"
-    return Path(directory) / f"{name}{suffix}"
-
-
-def save_index(index: InvertedIndex, directory: PathLike,
-               format: str = "json") -> Path:
-    """Write ``index`` to ``directory/<index.name>.json`` (default) or
-    ``directory/<index.name>.ridx`` when ``format="binary"``."""
-    if format not in INDEX_FORMATS:
-        raise IndexError_(
-            f"unknown index format {format!r} "
-            f"(expected one of {', '.join(INDEX_FORMATS)})")
-    target = Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    path = index_path(target, index.name, format)
-    if format == "binary":
-        return codec.write_index(index, path)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(index.to_json(), handle, ensure_ascii=False)
-    return path
+#: files earlier versions wrote per index; recognised only to point
+#: the user at a rebuild
+_LEGACY_SUFFIXES = (".json", ".ridx")
 
 
 def segment_dir_path(directory: PathLike, name: str) -> Path:
@@ -62,36 +35,41 @@ def segment_dir_path(directory: PathLike, name: str) -> Path:
     return Path(directory) / f"{name}{SEGMENT_DIR_SUFFIX}"
 
 
-def load_index(directory: PathLike, name: str):
-    """Load the index called ``name`` from ``directory``, whatever
-    format it was saved in.  Binary indexes load lazily: postings
-    decode per field on first access.  A committed ``<name>.segd``
-    segment directory opens as a :class:`SegmentedIndex` — same read
-    API, mmap-backed, O(1) in corpus size."""
+def save_index(index: InvertedIndex, directory: PathLike) -> Path:
+    """Seal ``index`` as one segment in ``directory/<index.name>.segd``
+    and commit a manifest holding only that segment, so saving again
+    replaces the index.  Superseded segment files are vacuumed.
+    Returns the segment directory."""
+    target = IndexDirectory(segment_dir_path(directory, index.name),
+                            name=index.name)
+    info, counter = target.seal(index)
+    target.commit([info], counter=counter)
+    target.vacuum()
+    return target.path
+
+
+def load_index(directory: PathLike, name: str) -> SegmentedIndex:
+    """Open the index called ``name`` in ``directory`` — mmap-backed,
+    O(1) in corpus size."""
     segment_dir = segment_dir_path(directory, name)
     if segment_dir.is_dir():
         segmented = IndexDirectory(segment_dir, name=name)
         if segmented.read_manifest() is not None:
             return SegmentedIndex(segmented)
-    binary_path = index_path(directory, name, "binary")
-    if binary_path.exists():
-        return codec.read_index(binary_path)
-    json_path = index_path(directory, name, "json")
-    if not json_path.exists():
-        raise IndexError_(f"no index {name!r} in {directory}")
-    with open(json_path, encoding="utf-8") as handle:
-        return InvertedIndex.from_json(json.load(handle))
+    for suffix in _LEGACY_SUFFIXES:
+        legacy = Path(directory) / f"{name}{suffix}"
+        if legacy.exists():
+            raise IndexError_(
+                f"{legacy} is a legacy index file, no longer readable; "
+                f"rebuild with `repro build -d {directory}`")
+    raise IndexError_(f"no index {name!r} in {directory}")
 
 
 def list_indexes(directory: PathLike) -> List[str]:
-    """Names of all indexes stored in ``directory`` (any format)."""
+    """Names of all indexes stored in ``directory``."""
     target = Path(directory)
     if not target.exists():
         return []
-    names = {path.stem for path in target.glob("*.json")}
-    names |= {path.stem
-              for path in target.glob(f"*{codec.BINARY_SUFFIX}")}
-    names |= {entry.name[:-len(SEGMENT_DIR_SUFFIX)]
-              for entry in target.glob(f"*{SEGMENT_DIR_SUFFIX}")
-              if entry.is_dir()}
-    return sorted(names)
+    return sorted(entry.name[:-len(SEGMENT_DIR_SUFFIX)]
+                  for entry in target.glob(f"*{SEGMENT_DIR_SUFFIX}")
+                  if entry.is_dir())

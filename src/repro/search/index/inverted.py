@@ -7,26 +7,27 @@ index-time field boosts, and the stored document values.  This is the
 "single special inverted index structure" that gives the paper its
 query-time scalability (§1, §3.6).
 
-Two serving-side mechanisms live here:
+This is the in-memory write buffer: :class:`IndexWriter` fills it,
+the pipeline and the golden tables search it in process, and
+:func:`~repro.search.index.segment.write_segment` seals it into the
+one persisted form, an immutable segment (see
+:mod:`repro.search.index.directory`).  ``to_json``/``from_json`` stay
+as a plain-data export that tests use as an oracle.
 
-* a **generation counter** (:attr:`InvertedIndex.generation`) bumped
-  on every mutation — documents added, terms indexed, values stored,
-  indexes merged.  Query-side caches (the searcher's result cache,
-  the memoized per-field average lengths) key on it, so any write
-  invalidates them without explicit notification.
-* **lazy field postings** — the binary index format registers a
-  per-field thunk instead of decoding every postings block at load
-  time; the first read of a field materializes it (see
-  :mod:`repro.search.index.codec`).
+A **generation counter** (:attr:`InvertedIndex.generation`) is bumped
+on every mutation — documents added, terms indexed, values stored,
+indexes merged.  Query-side caches (the searcher's result cache, the
+memoized per-field average lengths) key on it, so any write
+invalidates them without explicit notification.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import IndexError_
 from repro.search.document import Document, Field
-from repro.search.index.postings import Posting, PostingsList
+from repro.search.index.postings import PostingsList
 
 __all__ = ["InvertedIndex"]
 
@@ -54,9 +55,6 @@ class InvertedIndex:
         # field -> highest index-time boost seen (>= 1.0), for the
         # top-k score upper bounds
         self._max_boosts: Dict[str, float] = {}
-        # field -> thunk decoding that field's postings on first read
-        self._pending_fields: Dict[str, Callable[[],
-                                                 Dict[str, PostingsList]]] = {}
 
     # ------------------------------------------------------------------
     # writing
@@ -73,8 +71,6 @@ class InvertedIndex:
         """Add analyzed terms of one document field."""
         if not 0 <= doc_id < len(self._stored):
             raise IndexError_(f"unknown doc_id {doc_id}")
-        if self._pending_fields:
-            self._ensure_field(field_name)
         self._field_names.add(field_name)
         self._generation += 1
         field_terms = self._terms.setdefault(field_name, {})
@@ -101,28 +97,6 @@ class InvertedIndex:
             self._max_boosts[field_name] = boost
 
     # ------------------------------------------------------------------
-    # lazy postings (binary format support)
-    # ------------------------------------------------------------------
-
-    def _ensure_field(self, field_name: str) -> None:
-        """Materialize a lazily-loaded field's postings."""
-        loader = self._pending_fields.pop(field_name, None)
-        if loader is not None:
-            self._terms[field_name] = loader()
-
-    def _ensure_all_fields(self) -> None:
-        for field_name in list(self._pending_fields):
-            self._ensure_field(field_name)
-
-    def _attach_lazy_field(
-            self, field_name: str,
-            loader: Callable[[], Dict[str, PostingsList]]) -> None:
-        """Register a thunk that decodes ``field_name``'s postings on
-        first access (used by the binary codec's lazy loading)."""
-        self._pending_fields[field_name] = loader
-        self._field_names.add(field_name)
-
-    # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
 
@@ -140,8 +114,6 @@ class InvertedIndex:
         return sorted(self._field_names)
 
     def postings(self, field_name: str, term: str) -> Optional[PostingsList]:
-        if self._pending_fields:
-            self._ensure_field(field_name)
         return self._terms.get(field_name, {}).get(term)
 
     def doc_frequency(self, field_name: str, term: str) -> int:
@@ -150,8 +122,6 @@ class InvertedIndex:
 
     def terms(self, field_name: str) -> Iterator[str]:
         """All terms of a field, sorted (the term dictionary)."""
-        if self._pending_fields:
-            self._ensure_field(field_name)
         return iter(sorted(self._terms.get(field_name, {})))
 
     def terms_with_prefix(self, field_name: str, prefix: str
@@ -214,10 +184,7 @@ class InvertedIndex:
 
     def unique_term_count(self, field_name: str | None = None) -> int:
         if field_name is not None:
-            if self._pending_fields:
-                self._ensure_field(field_name)
             return len(self._terms.get(field_name, {}))
-        self._ensure_all_fields()
         return sum(len(terms) for terms in self._terms.values())
 
     # ------------------------------------------------------------------
@@ -237,13 +204,10 @@ class InvertedIndex:
         """
         offset = self.doc_count
         self._generation += 1
-        other._ensure_all_fields()
         self._stored.extend(
             {name: list(values) for name, values in doc.items()}
             for doc in other._stored)
         for field_name, terms in other._terms.items():
-            if self._pending_fields:
-                self._ensure_field(field_name)
             target_terms = self._terms.setdefault(field_name, {})
             for term, postings in terms.items():
                 target = target_terms.get(term)
@@ -267,11 +231,10 @@ class InvertedIndex:
         return offset
 
     # ------------------------------------------------------------------
-    # persistence
+    # plain-data export (a test oracle; persistence is segments)
     # ------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        self._ensure_all_fields()
         return {
             "name": self.name,
             "terms": {

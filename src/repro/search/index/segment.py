@@ -11,8 +11,7 @@ first use:
   costs the same;
 * **per-term lazy postings** — the per-field term dictionary maps
   each term to the byte range of its postings, so a query decodes
-  exactly the terms it touches (PR 4's lazy *per-field* decode taken
-  one level further);
+  exactly the terms it touches;
 * **skip blocks** — postings are encoded in blocks of
   :data:`SKIP_BLOCK` documents with a per-block (first doc id, byte
   offset) skip pointer, so a point lookup (``explain``, conjunctive
@@ -307,7 +306,6 @@ def write_segment(index: InvertedIndex, path: PathLike,
     if version not in READABLE_VERSIONS:
         raise IndexError_(f"cannot write segment version {version} "
                           f"(writable: {READABLE_VERSIONS})")
-    index._ensure_all_fields()
     path = Path(path)
     assembler = _BlockAssembler()
     field_table = []
@@ -728,6 +726,11 @@ class SegmentReader:
     def __init__(self, path: PathLike,
                  postings_cache_size: int = POSTINGS_CACHE_SIZE) -> None:
         self.path = Path(path)
+        # decode-once postings LRU: (field, term) -> DecodedTerm; set
+        # up first so close() works on a rejected header too
+        self._postings_cache: "OrderedDict[Tuple[str, str], DecodedTerm]" \
+            = OrderedDict()
+        self._postings_lock = threading.Lock()
         self._file = open(self.path, "rb")
         try:
             self._mmap = mmap.mmap(self._file.fileno(), 0,
@@ -736,10 +739,11 @@ class SegmentReader:
             self._file.close()
             raise IndexError_(f"{self.path} is empty, not a segment")
         data = self._mmap
-        if data[:4] != MAGIC:
+        magic = bytes(data[:4])
+        if magic != MAGIC:
             self.close()
             raise IndexError_(f"{self.path} is not a segment "
-                              f"(bad magic {bytes(data[:4])!r})")
+                              f"(bad magic {magic!r})")
         version = data[4]
         if version not in READABLE_VERSIONS:
             self.close()
@@ -763,11 +767,7 @@ class SegmentReader:
         self._lengths: Dict[str, Dict[int, int]] = {}
         self._boosts: Dict[str, Dict[int, float]] = {}
         self._stored_cache: Dict[int, dict] = {}
-        # decode-once postings LRU: (field, term) -> DecodedTerm
-        self._postings_cache: "OrderedDict[Tuple[str, str], DecodedTerm]" \
-            = OrderedDict()
         self._postings_capacity = max(1, postings_cache_size)
-        self._postings_lock = threading.Lock()
         self._postings_hits = 0
         self._postings_misses = 0
         self._postings_evictions = 0

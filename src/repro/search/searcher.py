@@ -379,15 +379,14 @@ class IndexSearcher:
                         "query_postings_scanned_total",
                         "postings entries read while scoring queries"
                     ).inc(result.postings_scanned)
-                    if result.segments_searched or result.segments_pruned:
-                        obs.metrics.counter(
-                            "query_segments_searched_total",
-                            "segments scanned by scatter-gather top-k"
-                        ).inc(result.segments_searched)
-                        obs.metrics.counter(
-                            "query_segments_pruned_total",
-                            "segments skipped whole by score bounds"
-                        ).inc(result.segments_pruned)
+                    obs.metrics.counter(
+                        "query_segments_searched_total",
+                        "segments scanned by scatter-gather top-k"
+                    ).inc(result.segments_searched)
+                    obs.metrics.counter(
+                        "query_segments_pruned_total",
+                        "segments skipped whole by score bounds"
+                    ).inc(result.segments_pruned)
                     if result.blocks_scored or result.blocks_pruned:
                         obs.metrics.counter(
                             "query_blocks_scored_total",

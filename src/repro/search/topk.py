@@ -29,17 +29,19 @@ Queries whose type has no :class:`~repro.search.query.queries.Scorer`
 (phrase, prefix, match-all, extras) return ``None`` here and fall
 back to the exhaustive path, which remains the semantics oracle.
 
-**Segmented indexes** (anything exposing ``segment_views()``, i.e.
-:class:`~repro.search.index.segments.SegmentedIndex`) are served by a
-*scatter-gather* variant: one scorer per segment view, segments
-scanned in ascending doc-id order against a **shared** heap and
-threshold.  Because segment doc-id ranges are disjoint and ascending,
-the candidate stream is the exact stream the monolithic scan would
-produce, so all parity properties carry over unchanged — and a whole
-segment whose best-possible score (from its *local* max-impact
-statistics, which are tighter than global ones) is strictly below θ
-skips scoring entirely.  Its candidates are still enumerated so
-``total_hits`` stays exact.
+There is one scan loop, a *scatter-gather* over segment views: one
+scorer per view, views scanned in ascending doc-id order against a
+**shared** heap and threshold.  A
+:class:`~repro.search.index.segments.SegmentedIndex` supplies its
+views through ``segment_views()``; an in-memory
+:class:`~repro.search.index.inverted.InvertedIndex` is a single view
+of itself.  Because view doc-id ranges are disjoint and ascending, the
+candidate stream is the exact stream one scan over the whole corpus
+would produce, so all parity properties hold however the corpus is
+split — and a whole segment whose best-possible score (from its
+*local* max-impact statistics, which are tighter than global ones) is
+strictly below θ skips scoring entirely.  Its candidates are still
+enumerated so ``total_hits`` stays exact.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.search.index.inverted import InvertedIndex
 from repro.search.index.postings import SKIP_BLOCK
 from repro.search.query.queries import (BooleanScorer, DisMaxScorer,
                                         Query, Scorer, TermScorer)
@@ -122,52 +123,91 @@ def run_top_k(index, similarity: Similarity,
               query: Query, k: Optional[int]) -> Optional[TopKResult]:
     """Evaluate ``query`` for its top ``k`` documents, or return
     ``None`` when the query (or ``k``) does not support pruning and
-    the caller should score exhaustively.  ``index`` is anything with
-    the :class:`~repro.search.index.inverted.InvertedIndex` read API;
-    segmented indexes additionally dispatch to the scatter-gather
-    scan."""
+    the caller should score exhaustively.
+
+    ``index`` is scanned view by view: a segmented index through
+    ``segment_views()``, an in-memory index as the single view
+    ``[index]``.  Views are visited in ascending doc-id (manifest)
+    order, so the concatenation of their candidate streams is the
+    whole corpus's stream and results are bit-identical however the
+    corpus is split.  Once the heap is full, a view whose score bound
+    is strictly below θ contributes its candidate count and nothing
+    else.
+    """
     if k is None or k <= 0:
         return None
-    views = getattr(index, "segment_views", None)
-    if views is not None:
-        return _run_segmented(views(), similarity, query, k)
-    scorer = query.scorer(index, similarity)
-    if scorer is None:
-        return None
+    segment_views = getattr(index, "segment_views", None)
+    views = segment_views() if segment_views is not None else [index]
+    if not views:
+        return None                 # empty set: exhaustive returns {}
+    scorers = []
+    for view in views:
+        scorer = query.scorer(view, similarity)
+        if scorer is None:          # query type without a scorer
+            return None
+        scorers.append(scorer)
+
     shared = _SharedHeap(k)
-    if isinstance(scorer, BooleanScorer) and scorer.musts:
-        hits, scored = _conjunctive_scan(scorer, shared)
-        return TopKResult(ranked=shared.drain(), total_hits=hits,
-                          candidates_scored=scored,
-                          postings_scanned=scorer.postings_scanned(),
-                          pruned=True)
-    clauses, bounds, scale = _disjunctive_clauses(scorer)
-    if clauses is not None:
-        exclude = (scorer.excluded_docs()
-                   if isinstance(scorer, BooleanScorer) else frozenset())
-        hits, scored, pruned, blocks_pruned = _maxscore_scan(
-            clauses, bounds, scale, scorer, exclude, shared)
-        return TopKResult(ranked=shared.drain(), total_hits=hits,
-                          candidates_scored=scored,
-                          postings_scanned=scorer.postings_scanned(),
-                          pruned=pruned, blocks_pruned=blocks_pruned)
-    if isinstance(scorer, TermScorer):
-        # a single term has no sibling clauses to prune against, but
-        # the batched block scan still skips blocks below θ and the
-        # bounded heap avoids materializing + sorting a full score map
-        outcome = _term_block_scan(scorer, shared)
-        if outcome is None:
-            candidates = scorer.doc_ids()
-            scored = _heap_over(candidates, scorer, shared)
-            outcome = (len(candidates), scored, False, 0, 0)
-        hits, scored, pruned, blocks_scored, blocks_pruned = outcome
-        return TopKResult(ranked=shared.drain(),
-                          total_hits=hits,
-                          candidates_scored=scored,
-                          postings_scanned=scorer.postings_scanned(),
-                          pruned=pruned, blocks_scored=blocks_scored,
-                          blocks_pruned=blocks_pruned)
-    return None
+    total_hits = 0
+    scored_total = 0
+    pruned = False
+    searched = 0
+    skipped = 0
+    blocks_scored = 0
+    blocks_pruned = 0
+    is_conjunctive = (isinstance(scorers[0], BooleanScorer)
+                      and scorers[0].musts)
+    for scorer in scorers:
+        if shared.theta is not None \
+                and scorer.max_contribution() < shared.theta:
+            total_hits += _matching_count(scorer)
+            skipped += 1
+            pruned = True
+            continue
+        searched += 1
+        if is_conjunctive:
+            hits, scored = _conjunctive_scan(scorer, shared)
+            total_hits += hits
+            scored_total += scored
+            pruned = True
+            continue
+        clauses, bounds, scale = _disjunctive_clauses(scorer)
+        if clauses is not None:
+            exclude = (scorer.excluded_docs()
+                       if isinstance(scorer, BooleanScorer)
+                       else frozenset())
+            hits, scored, seg_pruned, seg_blocks = _maxscore_scan(
+                clauses, bounds, scale, scorer, exclude, shared)
+            total_hits += hits
+            scored_total += scored
+            blocks_pruned += seg_blocks
+            pruned = pruned or seg_pruned
+        elif isinstance(scorer, TermScorer):
+            # a single term has no sibling clauses to prune against,
+            # but the batched block scan still skips blocks below θ
+            # and the bounded heap avoids materializing + sorting a
+            # full score map
+            outcome = _term_block_scan(scorer, shared)
+            if outcome is None:
+                candidates = scorer.doc_ids()
+                scored = _heap_over(candidates, scorer, shared)
+                outcome = (len(candidates), scored, False, 0, 0)
+            hits, scored, seg_pruned, seg_scored, seg_skipped = outcome
+            total_hits += hits
+            scored_total += scored
+            blocks_scored += seg_scored
+            blocks_pruned += seg_skipped
+            pruned = pruned or seg_pruned
+        else:
+            return None
+    return TopKResult(
+        ranked=shared.drain(), total_hits=total_hits,
+        candidates_scored=scored_total,
+        postings_scanned=sum(scorer.postings_scanned()
+                             for scorer in scorers),
+        pruned=pruned, segments_searched=searched,
+        segments_pruned=skipped, blocks_scored=blocks_scored,
+        blocks_pruned=blocks_pruned)
 
 
 def _disjunctive_clauses(scorer: Scorer):
@@ -407,10 +447,6 @@ def _term_block_scan(scorer: TermScorer, shared: _SharedHeap
         blocks_pruned
 
 
-# ----------------------------------------------------------------------
-# scatter-gather over segments
-# ----------------------------------------------------------------------
-
 def _matching_count(scorer: Scorer) -> int:
     """Candidate count of one segment's scorer without scoring —
     pruned segments still owe their exact contribution to
@@ -419,88 +455,3 @@ def _matching_count(scorer: Scorer) -> int:
                                                        DisMaxScorer):
         return len(scorer.doc_id_set())
     return len(scorer.doc_ids())
-
-
-def _segment_bound(scorer: Scorer) -> float:
-    """Upper bound on any single document's score inside one segment,
-    from that segment's local max-impact statistics."""
-    return scorer.max_contribution()
-
-
-def _run_segmented(views, similarity: Similarity, query: Query,
-                   k: int) -> Optional[TopKResult]:
-    """Scatter-gather top-k: one scorer per segment, shared heap/θ.
-
-    Segments are visited in ascending doc-id (manifest) order, so the
-    concatenation of their candidate streams equals the monolithic
-    scan's stream — results are bit-identical.  Once the heap is
-    full, a segment whose score bound is strictly below θ contributes
-    its candidate count and nothing else.
-    """
-    if not views:
-        return None                 # empty set: exhaustive returns {}
-    scorers = []
-    for view in views:
-        scorer = query.scorer(view, similarity)
-        if scorer is None:          # query type without a scorer —
-            return None             # same fallback as monolithic
-        scorers.append(scorer)
-
-    shared = _SharedHeap(k)
-    total_hits = 0
-    scored_total = 0
-    pruned = False
-    searched = 0
-    skipped = 0
-    blocks_scored = 0
-    blocks_pruned = 0
-    is_conjunctive = (isinstance(scorers[0], BooleanScorer)
-                      and scorers[0].musts)
-    for scorer in scorers:
-        if shared.theta is not None \
-                and _segment_bound(scorer) < shared.theta:
-            total_hits += _matching_count(scorer)
-            skipped += 1
-            pruned = True
-            continue
-        searched += 1
-        if is_conjunctive:
-            hits, scored = _conjunctive_scan(scorer, shared)
-            total_hits += hits
-            scored_total += scored
-            pruned = True
-        else:
-            clauses, bounds, scale = _disjunctive_clauses(scorer)
-            if clauses is not None:
-                exclude = (scorer.excluded_docs()
-                           if isinstance(scorer, BooleanScorer)
-                           else frozenset())
-                hits, scored, seg_pruned, seg_blocks = _maxscore_scan(
-                    clauses, bounds, scale, scorer, exclude, shared)
-                total_hits += hits
-                scored_total += scored
-                blocks_pruned += seg_blocks
-                pruned = pruned or seg_pruned
-            elif isinstance(scorer, TermScorer):
-                outcome = _term_block_scan(scorer, shared)
-                if outcome is None:
-                    candidates = scorer.doc_ids()
-                    scored = _heap_over(candidates, scorer, shared)
-                    outcome = (len(candidates), scored, False, 0, 0)
-                hits, scored, seg_pruned, seg_scored, seg_skipped = \
-                    outcome
-                total_hits += hits
-                scored_total += scored
-                blocks_scored += seg_scored
-                blocks_pruned += seg_skipped
-                pruned = pruned or seg_pruned
-            else:
-                return None
-    return TopKResult(
-        ranked=shared.drain(), total_hits=total_hits,
-        candidates_scored=scored_total,
-        postings_scanned=sum(scorer.postings_scanned()
-                             for scorer in scorers),
-        pruned=pruned, segments_searched=searched,
-        segments_pruned=skipped, blocks_scored=blocks_scored,
-        blocks_pruned=blocks_pruned)

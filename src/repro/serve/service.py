@@ -1,7 +1,7 @@
 """The online serving layer: an HTTP/JSON face over the facade.
 
-:class:`ReproService` converts a ``build --segmented`` output
-directory into a long-running retrieval service — the paper's online
+:class:`ReproService` converts a ``repro build`` output directory
+into a long-running retrieval service — the paper's online
 half finally shaped like one:
 
 * ``POST /search`` — one query through the full
@@ -49,7 +49,7 @@ from repro.errors import CrawlError, ReproError
 from repro.search import load_index
 from repro.search.index.directory import list_indexes
 from repro.search.searcher import QueryResultCache
-from repro.search.index.segments import IndexDirectory, SegmentedIndex
+from repro.search.index.segments import SegmentedIndex
 from repro.serve.ingest import (IngestWorker, MaintenanceThread,
                                 match_from_json)
 
@@ -205,15 +205,15 @@ class ReproService:
                         else MetricsRegistry(enabled=True))
 
         directory = Path(config.index_dir)
-        #: every index variant present on disk, duck-typed.
-        self.indexes: Dict[str, Any] = {}
+        #: every index variant present on disk.
+        self.indexes: Dict[str, SegmentedIndex] = {}
         for name in IndexName.BUILT:
             if name in list_indexes(directory):
                 self.indexes[name] = load_index(directory, name)
         if IndexName.FULL_INF not in self.indexes:
             raise ReproError(
                 f"no {IndexName.FULL_INF} index in {directory} — "
-                f"run `repro build --segmented -o {directory}` first")
+                f"run `repro build -d {directory}` first")
 
         self.app = SemanticSearchApplication(
             self.indexes[IndexName.FULL_INF],
@@ -239,15 +239,12 @@ class ReproService:
                 self.indexes[IndexName.TRAD],
                 QueryExpander(ontology, taxonomy=reasoner.taxonomy))
 
-        segmented = {name: index
-                     for name, index in self.indexes.items()
-                     if isinstance(index, SegmentedIndex)}
         directories = {name: index.directory
-                       for name, index in segmented.items()}
-        self.ingest = IngestWorker(directories, segmented,
+                       for name, index in self.indexes.items()}
+        self.ingest = IngestWorker(directories, self.indexes,
                                    metrics=self.metrics)
         self.maintenance = MaintenanceThread(
-            directories, segmented,
+            directories, self.indexes,
             interval=config.maintenance_interval,
             merge_factor=config.merge_factor,
             metrics=self.metrics)
@@ -323,9 +320,7 @@ class ReproService:
         self.maintenance.stop()
         self.app.close()
         for index in self.indexes.values():
-            close = getattr(index, "close", None)
-            if close is not None:
-                close()
+            index.close()
 
     def __enter__(self) -> "ReproService":
         return self.start() if self._server is None else self
@@ -442,10 +437,6 @@ class ReproService:
                 "learned_terms": len(self.app.learned_expansions)}
 
     def handle_ingest(self, payload: dict) -> dict:
-        if not self.ingest.directories:
-            raise _JsonError(
-                409, "index directory is not segmented — live "
-                     "ingestion needs a `build --segmented` output")
         try:
             crawled = match_from_json(payload)
         except CrawlError as error:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
 
 import pytest
 
@@ -89,7 +90,7 @@ class TestCommands:
 
         monkeypatch.setattr(cli, "_corpus", tiny_corpus)
         assert main(["build", "-d", str(tmp_path)]) == 0
-        names = sorted(p.stem for p in tmp_path.glob("*.json"))
+        names = sorted(p.stem for p in tmp_path.glob("*.segd"))
         assert names == sorted(["TRAD", "BASIC_EXT", "FULL_EXT",
                                 "FULL_INF", "PHR_EXP"])
 
@@ -122,7 +123,7 @@ class TestCommands:
         assert "quarantine: 1 match(es) skipped" in out
         assert poison in out
         assert "stage=extraction" in out
-        names = sorted(p.stem for p in index_dir.glob("*.json"))
+        names = sorted(p.stem for p in index_dir.glob("*.segd"))
         assert names == sorted(["TRAD", "BASIC_EXT", "FULL_EXT",
                                 "FULL_INF", "PHR_EXP"])
 
@@ -302,7 +303,29 @@ class TestServeCommand:
         assert main(["serve", "-d", str(missing)]) == EXIT_USER_ERROR
         err = capsys.readouterr().err
         assert "does not exist" in err
-        assert "build --segmented" in err
+        assert f"'repro build -d {missing}'" in err
+
+    def test_serve_hints_are_valid_build_commands(self, tmp_path,
+                                                  capsys):
+        """Both serve hints name a `repro build` argv that parses."""
+        from repro.errors import ReproError
+        from repro.serve import ReproService, ServiceConfig
+
+        missing = tmp_path / "nope"
+        main(["serve", "-d", str(missing)])
+        cli_hint = capsys.readouterr().err.split("'")[1]
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        with pytest.raises(ReproError) as caught:
+            ReproService(ServiceConfig(index_dir=empty))
+        service_hint = str(caught.value).split("`")[1]
+        for hint, directory in ((cli_hint, missing),
+                                (service_hint, empty)):
+            argv = shlex.split(hint)
+            assert argv[0] == "repro"
+            args = build_parser().parse_args(argv[1:])
+            assert args.command == "build"
+            assert args.index_dir == directory
 
     def test_http_excludes_processes(self, capsys):
         code = main(["loadtest", "--http", "http://127.0.0.1:1",

@@ -2,9 +2,9 @@
 
 The Table 4–6 numbers are pinned in test_golden_numbers.py; these
 tests pin the *serving machinery* underneath them: for every golden
-query, the pruned top-k path, the query result cache, and the binary
-on-disk format must all reproduce the exhaustive-scoring ranking bit
-for bit.  Any divergence here would silently corrupt the tables.
+query, the pruned top-k path, the query result cache, and the saved
+on-disk form must all reproduce the in-memory ranking bit for bit.
+Any divergence here would silently corrupt the tables.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ class TestPrunedGoldenParity:
 
 
 class TestBinaryFormatGoldenParity:
-    """JSON and binary on-disk forms serve identical rankings."""
+    """save_index → load_index (one sealed segment per index) serves
+    the in-memory pipeline result's rankings bit for bit."""
 
     @pytest.fixture(scope="class")
     def reloaded(self, pipeline_result, tmp_path_factory):
@@ -67,28 +68,28 @@ class TestBinaryFormatGoldenParity:
         out = {}
         for name in (IndexName.FULL_INF, IndexName.PHR_EXP):
             index = pipeline_result.index(name)
-            save_index(index, directory / "json", format="json")
-            save_index(index, directory / "binary", format="binary")
-            out[name] = (load_index(directory / "json", name),
-                         load_index(directory / "binary", name))
-        return out
+            save_index(index, directory)
+            out[name] = (index, load_index(directory, name))
+        yield out
+        for _, loaded in out.values():
+            loaded.close()
 
     def test_table3_rankings_identical(self, reloaded):
-        from_json, from_binary = reloaded[IndexName.FULL_INF]
-        engine_json = KeywordSearchEngine(from_json)
-        engine_binary = KeywordSearchEngine(from_binary)
+        in_memory, loaded = reloaded[IndexName.FULL_INF]
+        engine_memory = KeywordSearchEngine(in_memory)
+        engine_loaded = KeywordSearchEngine(loaded)
         for query in TABLE3_QUERIES:
-            assert ranking(engine_json.search(query.keywords)) \
-                == ranking(engine_binary.search(query.keywords))
+            assert ranking(engine_loaded.search(query.keywords)) \
+                == ranking(engine_memory.search(query.keywords))
 
     def test_table6_rankings_identical(self, reloaded):
-        from_json, from_binary = reloaded[IndexName.PHR_EXP]
-        engine_json = PhrasalSearchEngine(from_json)
-        engine_binary = PhrasalSearchEngine(from_binary)
+        in_memory, loaded = reloaded[IndexName.PHR_EXP]
+        engine_memory = PhrasalSearchEngine(in_memory)
+        engine_loaded = PhrasalSearchEngine(loaded)
         for query in TABLE6_QUERIES:
-            assert ranking(engine_json.search(query.keywords)) \
-                == ranking(engine_binary.search(query.keywords))
+            assert ranking(engine_loaded.search(query.keywords)) \
+                == ranking(engine_memory.search(query.keywords))
 
     def test_round_trip_preserves_index_json(self, reloaded):
-        from_json, from_binary = reloaded[IndexName.FULL_INF]
-        assert from_binary.to_json() == from_json.to_json()
+        in_memory, loaded = reloaded[IndexName.FULL_INF]
+        assert loaded.to_inverted().to_json() == in_memory.to_json()

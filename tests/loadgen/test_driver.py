@@ -216,7 +216,7 @@ class TestMultiprocess:
             index.index_terms(doc_id, "narration",
                               list(zip(terms, range(len(terms)))))
             index.store_value(doc_id, "doc_key", f"doc-{doc_id}")
-        save_index(index, tmp_path, format="binary")
+        save_index(index, tmp_path)
         return tmp_path
 
     def test_run_multiprocess_drives_exactly_count_requests(self,

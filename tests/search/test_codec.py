@@ -1,7 +1,8 @@
-"""Binary index format: round-trip fidelity, laziness, auto-detection."""
+"""The on-disk format: segment round trip, format checks, varints."""
 
 from __future__ import annotations
 
+import json
 import random
 import struct
 
@@ -10,12 +11,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import IndexError_
-from repro.search.index import (INDEX_FORMATS, InvertedIndex, index_path,
-                                list_indexes, load_index, save_index)
+from repro.search.index import (InvertedIndex, list_indexes, load_index,
+                                save_index)
 from repro.search.index import codec
+from repro.search.index.segment import SEGMENT_SUFFIX, SEGMENT_VERSION
 from repro.search.query.queries import TermQuery
 from repro.search.searcher import IndexSearcher
 from repro.search.similarity import ClassicSimilarity
+
+
+def _unzigzag(value: int) -> int:
+    """Inverse of ``codec._zigzag`` (the segment reader inlines it)."""
+    return (value >> 1) ^ -(value & 1)
 
 
 def sample_index(seed: int = 7, docs: int = 30) -> InvertedIndex:
@@ -38,114 +45,91 @@ def sample_index(seed: int = 7, docs: int = 30) -> InvertedIndex:
 
 
 class TestRoundTrip:
+    """``save_index`` seals one segment; ``load_index`` serves it."""
+
     def test_binary_equals_json_semantics(self, tmp_path):
         index = sample_index()
-        save_index(index, tmp_path, format="binary")
-        loaded = load_index(tmp_path, "demo")
-        assert loaded.to_json() == index.to_json()
+        save_index(index, tmp_path)
+        with load_index(tmp_path, "demo") as loaded:
+            assert loaded.to_inverted().to_json() == index.to_json()
 
     def test_search_results_identical_across_formats(self, tmp_path):
         index = sample_index()
-        save_index(index, tmp_path / "j", format="json")
-        save_index(index, tmp_path / "b", format="binary")
-        from_json = load_index(tmp_path / "j", "demo")
-        from_binary = load_index(tmp_path / "b", "demo")
+        save_index(index, tmp_path)
+        from_json = InvertedIndex.from_json(index.to_json())
         query = TermQuery("event", "goal")
-        for source in (from_json, from_binary):
-            searcher = IndexSearcher(source, ClassicSimilarity())
-            top = searcher.search(query, 10)
-            oracle = IndexSearcher(index, ClassicSimilarity()
-                                   ).search_exhaustive(query, 10)
-            assert [(h.doc_id, h.score) for h in top] \
-                == [(h.doc_id, h.score) for h in oracle]
+        oracle = IndexSearcher(index, ClassicSimilarity()
+                               ).search_exhaustive(query, 10)
+        with load_index(tmp_path, "demo") as from_segments:
+            for source in (from_json, from_segments):
+                searcher = IndexSearcher(source, ClassicSimilarity())
+                top = searcher.search(query, 10)
+                assert [(h.doc_id, h.score) for h in top] \
+                    == [(h.doc_id, h.score) for h in oracle]
 
     def test_postings_statistics_survive(self, tmp_path):
         index = sample_index()
-        save_index(index, tmp_path, format="binary")
-        loaded = load_index(tmp_path, "demo")
-        original = index.postings("event", "goal")
-        round_tripped = loaded.postings("event", "goal")
-        assert round_tripped.max_frequency == original.max_frequency
-        assert round_tripped.total_frequency == original.total_frequency
-        assert loaded.max_field_boost("event") \
-            == index.max_field_boost("event")
+        save_index(index, tmp_path)
+        with load_index(tmp_path, "demo") as loaded:
+            original = index.postings("event", "goal")
+            round_tripped = loaded.postings("event", "goal")
+            assert round_tripped.max_frequency == original.max_frequency
+            assert round_tripped.total_frequency \
+                == original.total_frequency
+            assert loaded.max_field_boost("event") \
+                == index.max_field_boost("event")
 
     def test_binary_is_smaller(self, tmp_path):
         index = sample_index(docs=200)
-        json_file = save_index(index, tmp_path / "j", format="json")
-        binary_file = save_index(index, tmp_path / "b", format="binary")
-        assert binary_file.stat().st_size < json_file.stat().st_size
-
-
-class TestLazyLoading:
-    def test_only_touched_fields_decode(self, tmp_path):
-        index = sample_index()
-        save_index(index, tmp_path, format="binary")
-        loaded = load_index(tmp_path, "demo")
-        assert set(loaded._pending_fields) == {"event", "narration"}
-        loaded.postings("event", "goal")
-        assert "event" not in loaded._pending_fields
-        assert "narration" in loaded._pending_fields
-
-    def test_lazy_index_accepts_new_documents(self, tmp_path):
-        index = sample_index()
-        save_index(index, tmp_path, format="binary")
-        loaded = load_index(tmp_path, "demo")
-        doc_id = loaded.new_doc_id()
-        loaded.index_terms(doc_id, "event", [("goal", 0)])
-        assert loaded.doc_frequency("event", "goal") \
-            == index.doc_frequency("event", "goal") + 1
-
-    def test_merge_materializes_pending_fields(self, tmp_path):
-        index = sample_index()
-        save_index(index, tmp_path, format="binary")
-        loaded = load_index(tmp_path, "demo")
-        target = InvertedIndex("target")
-        target.merge(loaded)
-        assert target.to_json()["terms"] == index.to_json()["terms"]
+        segment_dir = save_index(index, tmp_path)
+        on_disk = sum(entry.stat().st_size
+                      for entry in segment_dir.iterdir())
+        as_json = json.dumps(index.to_json(), ensure_ascii=False)
+        assert on_disk < len(as_json.encode("utf-8"))
 
 
 class TestFormatHandling:
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(IndexError_, match="unknown index format"):
-            save_index(sample_index(), tmp_path, format="msgpack")
-        assert set(INDEX_FORMATS) == {"json", "binary"}
-
     def test_binary_preferred_when_both_exist(self, tmp_path):
+        # a legacy JSON file next to the segment directory is ignored
         index = sample_index()
-        save_index(index, tmp_path, format="json")
-        save_index(index, tmp_path, format="binary")
+        (tmp_path / "demo.json").write_text(json.dumps(index.to_json()))
+        save_index(index, tmp_path)
         assert list_indexes(tmp_path) == ["demo"]
-        assert load_index(tmp_path, "demo").to_json() == index.to_json()
+        with load_index(tmp_path, "demo") as loaded:
+            assert loaded.to_inverted().to_json() == index.to_json()
 
     def test_missing_index_raises(self, tmp_path):
         with pytest.raises(IndexError_, match="no index"):
             load_index(tmp_path, "absent")
 
     def test_bad_magic_rejected(self, tmp_path):
-        path = index_path(tmp_path, "demo", "binary")
-        path.write_bytes(b"JSON{}..")
+        segment = self._only_segment(tmp_path)
+        segment.write_bytes(b"JSON" + segment.read_bytes()[4:])
         with pytest.raises(IndexError_, match="bad magic"):
-            codec.read_index(path)
+            load_index(tmp_path, "demo")
 
     def test_future_version_rejected(self, tmp_path):
-        save_index(sample_index(), tmp_path, format="binary")
-        path = index_path(tmp_path, "demo", "binary")
-        data = bytearray(path.read_bytes())
-        data[4] = codec.VERSION + 1
-        path.write_bytes(bytes(data))
-        with pytest.raises(IndexError_, match="unsupported binary index "
+        segment = self._only_segment(tmp_path)
+        data = bytearray(segment.read_bytes())
+        data[4] = SEGMENT_VERSION + 1
+        segment.write_bytes(bytes(data))
+        with pytest.raises(IndexError_, match="unsupported segment "
                                               "version"):
-            codec.read_index(path)
+            load_index(tmp_path, "demo")
 
     def test_header_length_matches_struct(self, tmp_path):
         # pin the on-disk prelude: magic, version byte, u32 LE length
-        save_index(sample_index(), tmp_path, format="binary")
-        raw = index_path(tmp_path, "demo", "binary").read_bytes()
-        assert raw[:4] == b"RIDX"
-        assert raw[4] == codec.VERSION
+        raw = self._only_segment(tmp_path).read_bytes()
+        assert raw[:4] == codec.MAGIC == b"RIDX"
+        assert raw[4] == SEGMENT_VERSION
         (header_length,) = struct.unpack_from("<I", raw, 5)
         assert raw[9:9 + header_length].lstrip().startswith(b"{")
+
+    @staticmethod
+    def _only_segment(tmp_path):
+        segment_dir = save_index(sample_index(), tmp_path)
+        (segment,) = segment_dir.glob(f"seg_*{SEGMENT_SUFFIX}")
+        return segment
 
 
 class TestVarintPrimitives:
@@ -161,7 +145,7 @@ class TestVarintPrimitives:
 
     @pytest.mark.parametrize("value", [0, 1, -1, 63, -64, 1000, -1000])
     def test_zigzag_round_trip(self, value):
-        assert codec._unzigzag(codec._zigzag(value)) == value
+        assert _unzigzag(codec._zigzag(value)) == value
 
     @pytest.mark.parametrize("value", [2 ** 63, -(2 ** 63),
                                        2 ** 63 - 1, -(2 ** 63) + 1,
@@ -172,13 +156,13 @@ class TestVarintPrimitives:
         # silently corrupts every non-negative value >= 2**63)
         encoded = codec._zigzag(value)
         assert encoded >= 0
-        assert codec._unzigzag(encoded) == value
+        assert _unzigzag(encoded) == value
 
     @given(st.integers())
     def test_zigzag_round_trips_any_int(self, value):
         encoded = codec._zigzag(value)
         assert encoded >= 0            # varint-encodable
-        assert codec._unzigzag(encoded) == value
+        assert _unzigzag(encoded) == value
 
     @given(st.integers())
     def test_zigzag_orders_by_magnitude(self, value):

@@ -179,6 +179,28 @@ class TestPersistence:
         save_index(index, tmp_path)
         assert list_indexes(tmp_path) == ["test"]
 
+    def test_saving_twice_replaces_the_index(self, index, tmp_path):
+        save_index(index, tmp_path)
+        path = save_index(index, tmp_path)
+        with load_index(tmp_path, "test") as loaded:
+            assert loaded.doc_count == index.doc_count
+            assert loaded.segment_count == 1
+        # the superseded segment and manifest are gone from disk
+        assert len(list(path.glob("seg_*"))) == 1
+        assert len(list(path.glob("segments_*"))) == 1
+
+    @pytest.mark.parametrize("suffix", [".json", ".ridx"])
+    def test_legacy_file_raises_rebuild_hint(self, tmp_path, suffix):
+        from repro.search.index import list_indexes
+        legacy = tmp_path / f"test{suffix}"
+        legacy.write_text("{}")
+        assert list_indexes(tmp_path) == []
+        with pytest.raises(IndexError_) as caught:
+            load_index(tmp_path, "test")
+        message = str(caught.value)
+        assert str(legacy) in message
+        assert f"repro build -d {tmp_path}" in message
+
 
 class TestPropertyBased:
     @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=4),
