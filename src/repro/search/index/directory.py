@@ -42,9 +42,10 @@ def save_index(index: InvertedIndex, directory: PathLike) -> Path:
     Returns the segment directory."""
     target = IndexDirectory(segment_dir_path(directory, index.name),
                             name=index.name)
-    info, counter = target.seal(index)
-    target.commit([info], counter=counter)
-    target.vacuum()
+    with target.lock:
+        info, counter = target.seal(index)
+        target.commit([info], counter=counter)
+        target.vacuum()
     return target.path
 
 

@@ -139,10 +139,10 @@ class InvertedIndex:
     def local_field_maps(self, field_name: str):
         """``(lengths, boosts)`` dicts behind :meth:`field_length` /
         :meth:`field_boost`, keyed by the same doc-id space as this
-        index's postings columns — the batched block scorer probes
-        them directly instead of paying two method calls per
-        document.  Defaults (0 / 1.0) apply to missing keys exactly
-        as in the per-doc methods."""
+        index's postings — the contribution column probes them
+        directly instead of paying two method calls per document.
+        Defaults (0 / 1.0) apply to missing keys exactly as in the
+        per-doc methods."""
         return (self._lengths.get(field_name, {}),
                 self._boosts.get(field_name, {}))
 

@@ -10,7 +10,7 @@ __all__ = ["Posting", "PostingsList", "SKIP_BLOCK"]
 
 #: Documents per skip block.  Shared by the segment codec (which
 #: persists one skip entry and one block-max statistic per block, see
-#: :mod:`repro.search.index.segment`), the in-memory block API below,
+#: :mod:`repro.search.index.segment`), the in-memory column API below,
 #: and the top-k scan's block-at-a-time pruning arithmetic — all three
 #: must agree on the block size for the persisted maxima to bound the
 #: right documents.
@@ -118,25 +118,21 @@ class PostingsList:
         (the typed column, shared — read-only)."""
         return self._ensure_columns()[1]
 
-    # -- block API ----------------------------------------------------
+    # -- column API ---------------------------------------------------
     #
-    # The same shape LazyPostings exposes over a decoded segment term:
-    # documents in blocks of SKIP_BLOCK, typed (doc_ids, frequencies)
-    # columns per block, a per-block max frequency.  Here the columns
-    # are materialized lazily from the posting objects (and dropped on
-    # mutation), so the batched scoring loop runs identically over
-    # in-memory and segment-backed indexes.
+    # The shape the top-k plan reads from LazyPostings over a decoded
+    # segment term: a typed frequency column, a doc-id base and a
+    # per-block max frequency over blocks of SKIP_BLOCK documents.
+    # Here the columns are materialized lazily from the posting
+    # objects (and dropped on mutation), so the contribution column
+    # and block bounds are computed identically over in-memory and
+    # segment-backed indexes.
 
     @property
     def base(self) -> int:
         """Doc-id offset of the backing columns (always 0 here; the
         segment view rebases)."""
         return 0
-
-    def block_count(self) -> int:
-        """Number of skip blocks (``ceil(doc_frequency /
-        SKIP_BLOCK)``)."""
-        return -(-len(self._postings) // SKIP_BLOCK)
 
     def _ensure_columns(self) -> Tuple[array, array]:
         columns = self._columns
@@ -154,15 +150,6 @@ class PostingsList:
         _, freqs = self._ensure_columns()
         start = block * SKIP_BLOCK
         return max(freqs[start:start + SKIP_BLOCK])
-
-    def block_columns(self, block: int) -> Tuple[memoryview, memoryview]:
-        """``(doc_ids, frequencies)`` of ``block`` as read-only typed
-        views over the int64 columns."""
-        doc_ids, freqs = self._ensure_columns()
-        start = block * SKIP_BLOCK
-        end = start + SKIP_BLOCK
-        return (memoryview(doc_ids)[start:end].toreadonly(),
-                memoryview(freqs)[start:end].toreadonly())
 
     def __iter__(self) -> Iterator[Posting]:
         return iter(self._postings)

@@ -692,7 +692,7 @@ class LazyPostings:
     def __iter__(self):
         return iter(self._decoded.postings_rebased(self._base))
 
-    # -- block API (batched scoring / block-max pruning) --------------
+    # -- block API (block-max pruning, per-block decode) -------------
 
     @property
     def base(self) -> int:

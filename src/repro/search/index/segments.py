@@ -136,12 +136,22 @@ class IndexDirectory:
     it into place.  Opening always resolves the highest *parseable*
     manifest, so torn writes and orphaned segment files from crashes
     are invisible to readers until :meth:`vacuum` sweeps them.
+
+    The mutators — :meth:`commit`, :meth:`seal`, :meth:`reserve`,
+    :meth:`add_index`, :meth:`add_sealed`, :meth:`merge` and
+    :meth:`vacuum` — serialize on :attr:`lock`, so a live ingest and a
+    background merge sharing one directory can neither commit over
+    each other's manifest nor vacuum a segment sealed but not yet
+    committed.
     """
 
     def __init__(self, path: PathLike, name: str = "index") -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.name = name
+        #: held by every read-modify-commit of the manifest (reentrant,
+        #: so compound mutators call the primitive ones under it)
+        self.lock = threading.RLock()
         existing = self.read_manifest()
         if existing is not None:
             self.name = existing.name
@@ -192,22 +202,23 @@ class IndexDirectory:
     def commit(self, segments: Sequence[SegmentInfo],
                counter: Optional[int] = None) -> Manifest:
         """Atomically commit ``segments`` as the new live set."""
-        current = self.manifest()
-        manifest = Manifest(
-            generation=current.generation + 1,
-            name=self.name,
-            counter=counter if counter is not None else current.counter,
-            segments=tuple(segments))
-        target = self._manifest_path(manifest.generation)
-        tmp = target.with_name(target.name + ".tmp")
-        raw = json.dumps(manifest.to_json(), ensure_ascii=False,
-                         indent=2)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(raw)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-        return manifest
+        with self.lock:
+            current = self.manifest()
+            manifest = Manifest(
+                generation=current.generation + 1,
+                name=self.name,
+                counter=counter if counter is not None else current.counter,
+                segments=tuple(segments))
+            target = self._manifest_path(manifest.generation)
+            tmp = target.with_name(target.name + ".tmp")
+            raw = json.dumps(manifest.to_json(), ensure_ascii=False,
+                             indent=2)
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(raw)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, target)
+            return manifest
 
     # -- sealing segments ----------------------------------------------
 
@@ -229,13 +240,14 @@ class IndexDirectory:
         anything.  Parallel build workers seal straight into reserved
         names (no cross-process coordination needed), and the parent
         later commits them together with the returned counter."""
-        if counter is None:
-            counter = self.manifest().counter
-        names: List[str] = []
-        for _ in range(count):
-            file_name, counter = self._allocate(counter)
-            names.append(file_name)
-        return names, counter
+        with self.lock:
+            if counter is None:
+                counter = self.manifest().counter
+            names: List[str] = []
+            for _ in range(count):
+                file_name, counter = self._allocate(counter)
+                names.append(file_name)
+            return names, counter
 
     def seal(self, index: InvertedIndex,
              counter: Optional[int] = None) -> Tuple[SegmentInfo, int]:
@@ -243,27 +255,30 @@ class IndexDirectory:
         Returns its :class:`SegmentInfo` and the advanced counter —
         the segment only becomes visible once a manifest referencing
         it is committed."""
-        if counter is None:
-            counter = self.manifest().counter
-        file_name, counter = self._allocate(counter)
-        path = write_segment(index, self.path / file_name)
-        info = SegmentInfo(file=file_name, doc_count=index.doc_count,
-                           size_bytes=path.stat().st_size)
-        return info, counter
+        with self.lock:
+            if counter is None:
+                counter = self.manifest().counter
+            file_name, counter = self._allocate(counter)
+            path = write_segment(index, self.path / file_name)
+            info = SegmentInfo(file=file_name, doc_count=index.doc_count,
+                               size_bytes=path.stat().st_size)
+            return info, counter
 
     def add_index(self, index: InvertedIndex) -> Manifest:
         """Seal ``index`` and append it to the live set (one commit)."""
-        current = self.manifest()
-        info, counter = self.seal(index, current.counter)
-        return self.commit([*current.segments, info], counter=counter)
+        with self.lock:
+            current = self.manifest()
+            info, counter = self.seal(index, current.counter)
+            return self.commit([*current.segments, info], counter=counter)
 
     def add_sealed(self, segments: Sequence[SegmentInfo],
                    counter: int) -> Manifest:
         """Append already-sealed segments (e.g. built by parallel
         workers) to the live set in one commit."""
-        current = self.manifest()
-        return self.commit([*current.segments, *segments],
-                           counter=max(counter, current.counter))
+        with self.lock:
+            current = self.manifest()
+            return self.commit([*current.segments, *segments],
+                               counter=max(counter, current.counter))
 
     # -- tiered merge ---------------------------------------------------
 
@@ -314,70 +329,72 @@ class IndexDirectory:
         merges performed.  Each merge seals its output before the
         single commit swaps all merged runs in atomically — a crash
         at any point leaves the old manifest serving."""
-        plans = self.plan_merges(merge_factor, force=force)
-        if not plans:
-            return 0
-        started = time.perf_counter()
-        current = self.manifest()
-        segments = list(current.segments)
-        counter = current.counter
-        merged: Dict[int, SegmentInfo] = {}
-        for start, end in plans:
-            file_name, counter = self._allocate(counter)
-            readers = [SegmentReader(self.path / info.file)
-                       for info in segments[start:end]]
-            try:
-                path = merge_segment_files(readers,
-                                           self.path / file_name)
-            finally:
-                for reader in readers:
-                    reader.close()
-            merged[start] = SegmentInfo(
-                file=file_name,
-                doc_count=sum(info.doc_count
-                              for info in segments[start:end]),
-                size_bytes=path.stat().st_size)
-        replaced: List[SegmentInfo] = []
-        position = 0
-        spans = dict(plans)
-        while position < len(segments):
-            if position in merged:
-                replaced.append(merged[position])
-                position = spans[position]
-            else:
-                replaced.append(segments[position])
-                position += 1
-        self.commit(replaced, counter=counter)
-        metrics = _metrics()
-        if metrics.enabled:
-            metrics.counter("segment_merges_total",
-                            "segment merges performed").inc(len(plans))
-            metrics.counter("segment_merge_seconds_total",
-                            "wall seconds spent merging segments"
-                            ).inc(time.perf_counter() - started)
-        return len(plans)
+        with self.lock:
+            plans = self.plan_merges(merge_factor, force=force)
+            if not plans:
+                return 0
+            started = time.perf_counter()
+            current = self.manifest()
+            segments = list(current.segments)
+            counter = current.counter
+            merged: Dict[int, SegmentInfo] = {}
+            for start, end in plans:
+                file_name, counter = self._allocate(counter)
+                readers = [SegmentReader(self.path / info.file)
+                           for info in segments[start:end]]
+                try:
+                    path = merge_segment_files(readers,
+                                               self.path / file_name)
+                finally:
+                    for reader in readers:
+                        reader.close()
+                merged[start] = SegmentInfo(
+                    file=file_name,
+                    doc_count=sum(info.doc_count
+                                  for info in segments[start:end]),
+                    size_bytes=path.stat().st_size)
+            replaced: List[SegmentInfo] = []
+            position = 0
+            spans = dict(plans)
+            while position < len(segments):
+                if position in merged:
+                    replaced.append(merged[position])
+                    position = spans[position]
+                else:
+                    replaced.append(segments[position])
+                    position += 1
+            self.commit(replaced, counter=counter)
+            metrics = _metrics()
+            if metrics.enabled:
+                metrics.counter("segment_merges_total",
+                                "segment merges performed").inc(len(plans))
+                metrics.counter("segment_merge_seconds_total",
+                                "wall seconds spent merging segments"
+                                ).inc(time.perf_counter() - started)
+            return len(plans)
 
     # -- maintenance ----------------------------------------------------
 
     def vacuum(self) -> List[str]:
         """Delete segment files and manifests no longer referenced by
         the newest committed manifest; returns the deleted names."""
-        manifest = self.read_manifest()
-        if manifest is None:
-            return []
-        live = {info.file for info in manifest.segments}
-        deleted = []
-        for entry in sorted(self.path.iterdir()):
-            name = entry.name
-            stale_segment = (name.endswith(SEGMENT_SUFFIX)
-                             and name not in live)
-            stale_manifest = (name.startswith(SEGMENTS_PREFIX)
-                              and name !=
-                              f"{SEGMENTS_PREFIX}{manifest.generation}")
-            if stale_segment or stale_manifest or name.endswith(".tmp"):
-                entry.unlink()
-                deleted.append(name)
-        return deleted
+        with self.lock:
+            manifest = self.read_manifest()
+            if manifest is None:
+                return []
+            live = {info.file for info in manifest.segments}
+            deleted = []
+            for entry in sorted(self.path.iterdir()):
+                name = entry.name
+                stale_segment = (name.endswith(SEGMENT_SUFFIX)
+                                 and name not in live)
+                stale_manifest = (name.startswith(SEGMENTS_PREFIX)
+                                  and name !=
+                                  f"{SEGMENTS_PREFIX}{manifest.generation}")
+                if stale_segment or stale_manifest or name.endswith(".tmp"):
+                    entry.unlink()
+                    deleted.append(name)
+            return deleted
 
 
 # ----------------------------------------------------------------------
@@ -403,8 +420,6 @@ class _MultiPostings:
         # parts are immutable once handed over, so the aggregate
         # statistics and the span-lookup key list are computed once
         # here instead of on every property access / point probe
-        # (term scoring reads max_frequency per bound and frequency()
-        # per candidate — both used to walk the part list each time)
         self._bases = [base for base, _, _ in parts]
         self._total_frequency = sum(
             part.total_frequency for _, _, part in parts)
@@ -439,12 +454,6 @@ class _MultiPostings:
         part = self._part_of(doc_id)
         return None if part is None else part.get(doc_id)
 
-    def frequency(self, doc_id: int) -> Optional[int]:
-        """Within-document frequency without materializing a
-        :class:`Posting` (term-scoring fast path)."""
-        part = self._part_of(doc_id)
-        return None if part is None else part.frequency(doc_id)
-
     def doc_ids(self) -> List[int]:
         out: List[int] = []
         for _, _, part in self._parts:
@@ -460,7 +469,7 @@ class _SegmentView:
     """One segment through the index duck API, with *global* scoring
     statistics.
 
-    Handed to per-segment scorers by the scatter-gather top-k driver:
+    The unit the top-k driver binds a query plan to:
     ``doc_count``, ``average_field_length`` and (via the injected
     document frequency on postings) IDF are corpus-wide, so a score
     computed here is bit-identical to the monolithic one — while
@@ -480,13 +489,14 @@ class _SegmentView:
         self.reader = reader
         self.base = base
         self.end = base + reader.doc_count
-        # term-scoring memos, keyed (similarity, field, term, boost):
-        # every input of a term's per-doc contributions and of its
-        # score upper bound — global df and averages from ``parent``,
-        # the reader's length/boost maps, ``base`` — is frozen with
-        # the generation, so both values are view-lifetime constants
-        # that repeat queries should not recompute (benign data race:
-        # concurrent fills write identical values)
+        # plan-binding memos (see repro.search.topk): a row's
+        # contribution column and score bound keyed (similarity,
+        # field, term, boost), a group's merged contributor map keyed
+        # by its rows.  Every input — global df and averages from
+        # ``parent``, the reader's length/boost maps, ``base`` — is
+        # frozen with the generation, so all are view-lifetime
+        # constants that repeat queries should not recompute (benign
+        # data race: concurrent fills write identical values)
         self.contrib_memo: dict = {}
         self.bound_memo: dict = {}
 
@@ -519,9 +529,8 @@ class _SegmentView:
 
     def local_field_maps(self, field_name: str):
         """The segment's own ``(lengths, boosts)`` dicts, keyed by
-        *local* doc ids — the same space the postings block columns
-        use before rebasing, so the batched scorer probes them with
-        the column values directly."""
+        *local* doc ids (global id minus :attr:`base`) — the
+        contribution column probes them directly."""
         return (self.reader.lengths(field_name),
                 self.reader.boosts(field_name))
 
@@ -547,7 +556,7 @@ class _SegmentSet:
     """
 
     __slots__ = ("manifest", "readers", "bases", "views", "_df_cache",
-                 "_avg_len_cache", "_max_boost_cache", "_doc_cache",
+                 "_avg_len_cache", "_doc_cache",
                  "_guard", "_refs", "_retired")
 
     def __init__(self, manifest: Manifest,
@@ -561,7 +570,6 @@ class _SegmentSet:
             for reader, base in zip(readers, bases)]
         self._df_cache: Dict[Tuple[str, str], int] = {}
         self._avg_len_cache: Dict[str, float] = {}
-        self._max_boost_cache: Dict[str, float] = {}
         self._doc_cache: Dict[int, Document] = {}
         self._guard = threading.Lock()
         self._refs = 0
@@ -725,17 +733,10 @@ class _SegmentSet:
         return reader.field_boost(field_name, local)
 
     def max_field_boost(self, field_name: str) -> float:
-        """Set-wide boost bound, memoized: the set is immutable, and
-        every scorer construction asks for this — looping over the
-        readers each time was a measurable slice of the segmented
-        hot path.  Racing writers store the same value (benign)."""
-        bound = self._max_boost_cache.get(field_name)
-        if bound is None:
-            bound = 1.0
-            for reader in self.readers:
-                bound = max(bound, reader.max_field_boost(field_name))
-            self._max_boost_cache[field_name] = bound
-        return bound
+        """Set-wide boost bound (never below 1.0).  Scoring bounds use
+        each view's own, tighter figure."""
+        return max([1.0, *(reader.max_field_boost(field_name)
+                           for reader in self.readers)])
 
     def average_field_length(self, field_name: str) -> float:
         """Exact corpus-wide mean: the per-segment integer sums from

@@ -5,34 +5,26 @@ Each query knows how to score itself against an
 :class:`~repro.search.similarity.Similarity`; the searcher merely ranks
 the resulting document→score map.
 
-Two scoring paths exist:
-
-* :meth:`Query.score_docs` — the exhaustive path: materializes the
-  full doc→score map.  This is the semantics oracle; ``explain()``
-  and the pruned path are verified against it.
-* :meth:`Query.scorer` — returns a :class:`Scorer` supporting exact
-  *single-document* scoring plus a per-clause score upper bound, or
-  ``None`` for query types without one (phrase, prefix, match-all,
-  and the extras), which then always score exhaustively.  The
-  MaxScore-style top-k driver (:mod:`repro.search.topk`) is built on
-  scorers; every ``score_one`` replicates the exhaustive path's
-  floating-point operations *in the same order*, so pruned top-k
-  results are bit-identical to exhaustive ones.
+:meth:`Query.score_docs` is the exhaustive path: it materializes the
+full doc→score map and is the semantics oracle.  The pruned top-k
+path (:mod:`repro.search.topk`) compiles term, DisMax and boolean
+trees into a flat plan and is verified bit-identical against it;
+every other query type is always scored here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence
 
 from repro.errors import QueryError
 from repro.search.index.inverted import InvertedIndex
 from repro.search.similarity import Similarity
 
 __all__ = ["Query", "TermQuery", "PhraseQuery", "PrefixQuery",
-           "MatchAllQuery", "Occur", "BooleanClause", "BooleanQuery",
-           "Scorer", "TermScorer", "DisMaxScorer", "BooleanScorer"]
+           "MatchAllQuery", "DisMaxQuery", "Occur", "BooleanClause",
+           "BooleanQuery"]
 
 Scores = Dict[int, float]
 
@@ -48,38 +40,6 @@ def _count_postings(amount: int) -> None:
                         ).inc(amount)
 
 
-class Scorer:
-    """Exact per-document scoring for one query node.
-
-    ``score_one`` must return bit-for-bit the value the node's
-    ``score_docs`` map holds for that doc (``None`` for non-matches);
-    ``max_contribution`` bounds it from above over all documents.
-    """
-
-    __slots__ = ("scanned",)
-
-    def __init__(self) -> None:
-        #: postings entries read through ``score_one`` (leaf scorers
-        #: only; aggregates sum their children)
-        self.scanned = 0
-
-    def max_contribution(self) -> float:
-        raise NotImplementedError
-
-    def doc_ids(self) -> List[int]:
-        """Matching doc ids, ascending."""
-        raise NotImplementedError
-
-    def doc_id_set(self) -> Set[int]:
-        raise NotImplementedError
-
-    def score_one(self, doc_id: int) -> Optional[float]:
-        raise NotImplementedError
-
-    def postings_scanned(self) -> int:
-        return self.scanned
-
-
 class Query:
     """Base query node."""
 
@@ -88,12 +48,6 @@ class Query:
     def score_docs(self, index: InvertedIndex,
                    similarity: Similarity) -> Scores:
         raise NotImplementedError
-
-    def scorer(self, index: InvertedIndex,
-               similarity: Similarity) -> Optional[Scorer]:
-        """A per-doc scorer for the pruned top-k path, or ``None``
-        when this query type only supports exhaustive scoring."""
-        return None
 
 
 @dataclass
@@ -122,272 +76,9 @@ class TermQuery(Query):
             scores[posting.doc_id] = base * self.boost * index_boost
         return scores
 
-    def scorer(self, index: InvertedIndex,
-               similarity: Similarity) -> "TermScorer":
-        return TermScorer(self, index, similarity)
-
     def __str__(self) -> str:
         suffix = f"^{self.boost}" if self.boost != 1.0 else ""
         return f"{self.field_name}:{self.term}{suffix}"
-
-
-class TermScorer(Scorer):
-    """Single-doc scoring for one (field, term) pair.
-
-    ``score_one`` evaluates ``similarity.score(...) * boost *
-    index_boost`` with exactly the arguments and operation order of
-    :meth:`TermQuery.score_docs`, so values match bit for bit.
-
-    Postings backed by skip blocks (segments, and the monolithic
-    :class:`~repro.search.index.postings.PostingsList`) additionally
-    expose the *block API*: :meth:`block_count` /
-    :meth:`block_bound` / :meth:`score_block` let the top-k driver
-    bound and score one whole skip block per step — batched
-    arithmetic over typed columns instead of a per-posting dict walk,
-    and a block whose bound falls below θ skips without decoding.
-    """
-
-    __slots__ = ("_query", "_index", "_similarity", "_postings",
-                 "_doc_frequency", "_doc_count", "_average",
-                 "_max_boost", "_block_bounds", "_batch_score",
-                 "_field_maps")
-
-    def __init__(self, query: TermQuery, index: InvertedIndex,
-                 similarity: Similarity) -> None:
-        super().__init__()
-        self._query = query
-        self._index = index
-        self._similarity = similarity
-        self._postings = index.postings(query.field_name, query.term)
-        if self._postings is not None:
-            self._doc_frequency = self._postings.doc_frequency
-            self._average = index.average_field_length(query.field_name)
-        else:
-            # absent term: every scoring path short-circuits before
-            # touching the statistics, so skip their lookups too
-            self._doc_frequency = 0
-            self._average = 0.0
-        self._doc_count = index.doc_count
-        self._max_boost: Optional[float] = None
-        self._block_bounds: Dict[int, float] = {}
-        self._batch_score = None
-        self._field_maps = None
-
-    def _similarity_closure(self):
-        """The per-document scoring closure with term-constant work
-        hoisted (built once per scorer; bit-identical to
-        ``similarity.score``)."""
-        sim_score = self._batch_score
-        if sim_score is None:
-            sim_score = self._similarity.batch_score(
-                self._doc_frequency, self._doc_count, self._average)
-            self._batch_score = sim_score
-        return sim_score
-
-    def _local_maps(self):
-        """``(lengths, boosts)`` dicts keyed by the postings' local
-        doc-id space, or ``False`` when the index backend does not
-        expose them (resolved once per scorer)."""
-        maps = self._field_maps
-        if maps is None:
-            getter = getattr(self._index, "local_field_maps", None)
-            maps = (getter(self._query.field_name)
-                    if getter is not None else False)
-            self._field_maps = maps
-        return maps
-
-    def _max_field_boost(self) -> float:
-        boost = self._max_boost
-        if boost is None:
-            boost = self._index.max_field_boost(self._query.field_name)
-            self._max_boost = boost
-        return boost
-
-    def _memo_key(self):
-        query = self._query
-        return (self._similarity, query.field_name, query.term,
-                query.boost)
-
-    def max_contribution(self) -> float:
-        if self._postings is None:
-            return 0.0
-        memo = getattr(self._index, "bound_memo", None)
-        if memo is None:
-            return self._compute_bound()
-        key = self._memo_key()
-        bound = memo.get(key)
-        if bound is None:
-            bound = self._compute_bound()
-            memo[key] = bound
-        return bound
-
-    def _compute_bound(self) -> float:
-        bound = self._similarity.max_score(
-            self._postings.max_frequency, self._doc_frequency,
-            self._doc_count)
-        return bound * self._query.boost * self._max_field_boost()
-
-    def doc_ids(self) -> Sequence[int]:
-        return self._postings.doc_ids() if self._postings else []
-
-    def doc_id_set(self) -> Set[int]:
-        return set(self._postings.doc_ids()) if self._postings else set()
-
-    def matching_count(self) -> int:
-        """Number of matching documents, from statistics alone (no
-        postings decode)."""
-        return len(self._postings) if self._postings is not None else 0
-
-    def score_one(self, doc_id: int) -> Optional[float]:
-        postings = self._postings
-        if postings is None:
-            return None
-        # frequency() avoids materializing a Posting (and, on segment
-        # backends, ever decoding position lists) just to count
-        # occurrences — same integer, so the score is bit-identical
-        frequency = postings.frequency(doc_id)
-        if frequency is None:
-            return None
-        return self.score_frequency(doc_id, frequency)
-
-    def score_frequency(self, doc_id: int, frequency: int
-                        ) -> Optional[float]:
-        """Score a document whose within-document frequency the caller
-        already holds (e.g. from a contributor map built off the typed
-        frequency columns) — :meth:`score_one` minus the postings
-        probe, with the identical float sequence."""
-        self.scanned += 1
-        sim_score = self._similarity_closure()
-        maps = self._local_maps()
-        if maps is not False:
-            lengths, boosts = maps
-            local_doc = doc_id - self._postings.base
-            score = sim_score(frequency, lengths.get(local_doc, 0))
-            return score * self._query.boost * boosts.get(local_doc, 1.0)
-        field_name = self._query.field_name
-        score = sim_score(
-            frequency, self._index.field_length(field_name, doc_id))
-        index_boost = self._index.field_boost(field_name, doc_id)
-        return score * self._query.boost * index_boost
-
-    def contributions(self):
-        """``(global doc id, contribution)`` pairs in postings order,
-        each contribution precomputed through the identical float
-        sequence as :meth:`score_one` — similarity closure, then
-        ``* query boost * index boost`` — with the per-term constants
-        resolved once outside a single tight loop over the typed
-        columns.  Returns ``None`` when the backing postings expose no
-        frequency column (multi-segment façade) and the caller should
-        fall back to per-doc probes.
-
-        On backends whose scoring inputs are generation-frozen (the
-        segment views), the pairs are memoized on the backend itself,
-        so repeat queries over a hot term skip the recompute
-        entirely."""
-        postings = self._postings
-        if postings is None:
-            return ()
-        freq_column = getattr(postings, "freqs", None)
-        if freq_column is None:
-            return None
-        memo = getattr(self._index, "contrib_memo", None)
-        if memo is None:
-            return self._compute_contributions(freq_column())
-        key = self._memo_key()
-        pairs = memo.get(key)
-        if pairs is None:
-            pairs = self._compute_contributions(freq_column())
-            memo[key] = pairs
-        return pairs
-
-    def _compute_contributions(self, freqs):
-        postings = self._postings
-        sim_score = self._similarity_closure()
-        boost = self._query.boost
-        doc_ids = postings.doc_ids()
-        maps = self._local_maps()
-        if maps is not False:
-            lengths, boosts = maps
-            length_of = lengths.get
-            boost_of = boosts.get
-            base = postings.base
-            return [(doc_id,
-                     sim_score(frequency, length_of(doc_id - base, 0))
-                     * boost * boost_of(doc_id - base, 1.0))
-                    for doc_id, frequency in zip(doc_ids, freqs)]
-        field_name = self._query.field_name
-        field_length = self._index.field_length
-        field_boost = self._index.field_boost
-        return [(doc_id,
-                 sim_score(frequency, field_length(field_name, doc_id))
-                 * boost * field_boost(field_name, doc_id))
-                for doc_id, frequency in zip(doc_ids, freqs)]
-
-    # -- block API (batched scoring / block-max pruning) --------------
-
-    def block_count(self) -> Optional[int]:
-        """Skip-block count of the underlying postings, or ``None``
-        when they expose no block structure (multi-segment façade)."""
-        postings = self._postings
-        if postings is None:
-            return 0
-        counter = getattr(postings, "block_count", None)
-        return counter() if counter is not None else None
-
-    def block_bound(self, block: int) -> float:
-        """Upper bound on this term's contribution for any document
-        inside ``block`` — the per-block max-impact figure pushed
-        through the same arithmetic as :meth:`max_contribution`, so it
-        is sound for the same reason and strictly tighter wherever the
-        block's max frequency undercuts the term's."""
-        bound = self._block_bounds.get(block)
-        if bound is None:
-            raw = self._similarity.max_score(
-                self._postings.block_max_frequency(block),
-                self._doc_frequency, self._doc_count)
-            bound = (raw * self._query.boost
-                     * self._max_field_boost())
-            self._block_bounds[block] = bound
-        return bound
-
-    def score_block(self, block: int) -> List[tuple]:
-        """Score every document of one skip block in a single batched
-        loop over the typed columns.  Returns ``(doc_id, score)``
-        pairs in doc order; each score replicates :meth:`score_one`'s
-        float sequence exactly — the hoisted similarity closure and
-        the direct length/boost dict probes read the very same values
-        through fewer Python frames — so batching never changes a
-        result bit."""
-        postings = self._postings
-        docs, freqs = postings.block_columns(block)
-        base = postings.base
-        sim_score = self._similarity_closure()
-        field_name = self._query.field_name
-        boost = self._query.boost
-        self.scanned += len(docs)
-        out = []
-        append = out.append
-        maps = self._local_maps()
-        if maps is not False:
-            # the maps are keyed by the columns' own (local) doc-id
-            # space, so per document the loop pays two dict probes
-            # instead of two method calls that re-derive the local id
-            lengths, boosts = maps
-            length_of = lengths.get
-            boost_of = boosts.get
-            for local_doc, frequency in zip(docs, freqs):
-                score = sim_score(frequency, length_of(local_doc, 0))
-                append((local_doc + base,
-                        score * boost * boost_of(local_doc, 1.0)))
-            return out
-        field_length = self._index.field_length
-        field_boost = self._index.field_boost
-        for local_doc, frequency in zip(docs, freqs):
-            doc_id = local_doc + base
-            score = sim_score(frequency, field_length(field_name, doc_id))
-            append((doc_id,
-                    score * boost * field_boost(field_name, doc_id)))
-        return out
 
 
 @dataclass
@@ -543,179 +234,9 @@ class DisMaxQuery(Query):
                         for doc, score in combined.items()}
         return combined
 
-    def scorer(self, index: InvertedIndex,
-               similarity: Similarity) -> Optional["DisMaxScorer"]:
-        subs = [query.scorer(index, similarity) for query in self.queries]
-        if not subs or any(sub is None for sub in subs):
-            return None
-        return DisMaxScorer(self, subs)
-
     def __str__(self) -> str:
         inner = " | ".join(str(q) for q in self.queries)
         return f"dismax({inner})"
-
-
-class DisMaxScorer(Scorer):
-    """Single-doc disjunction-max over sub-scorers.
-
-    Replicates :meth:`DisMaxQuery.score_docs` per document: the best
-    sub-score is found with the same ``>`` comparisons, the total is
-    summed in sub-query order, and the tie-breaker/boost arithmetic
-    runs in the same order — identical floats out.
-
-    ``score_one`` consults a contributor map — doc id to the list of
-    ``(sub position, contribution)`` pairs containing it, built
-    lazily on first need (so a scorer retired or pruned before
-    scoring never pays for it) from each sub's
-    :meth:`TermScorer.contributions` batch, which precomputes the
-    per-doc contribution over the typed columns with the exact float
-    sequence of ``score_one``.  A miss then costs one dict probe and
-    a hit is pure float max/sum work — no per-document sub-scorer
-    calls at all; contributors apply in sub order exactly as before,
-    so the result is bit-identical.  Because entries name positions
-    rather than scorer objects, the merged map memoizes on
-    generation-frozen backends and repeat queries skip the build —
-    and its allocations — entirely.
-    """
-
-    __slots__ = ("_subs", "_tie_breaker", "_boost", "_doc_ids",
-                 "_doc_set", "_contributors")
-
-    def __init__(self, query: "DisMaxQuery", subs: List[Scorer]) -> None:
-        super().__init__()
-        self._subs = subs
-        self._tie_breaker = query.tie_breaker
-        self._boost = query.boost
-        self._doc_ids: Optional[List[int]] = None
-        self._doc_set: Optional[Set[int]] = None
-        self._contributors: Optional[Dict[int, List[Scorer]]] = None
-
-    def _contributor_map(self) -> Dict[int, list]:
-        subs = self._subs
-        # Entries hold sub *positions*, not scorer references, so on
-        # backends with generation-frozen scoring inputs (the segment
-        # views) the whole merged map — plus its sorted doc ids and
-        # doc set — memoizes under the subs' signature and a repeat
-        # query re-uses it without rebuilding (or re-allocating)
-        # anything.
-        memo = key = None
-        if subs:
-            memo = getattr(getattr(subs[0], "_index", None),
-                           "contrib_memo", None)
-            if memo is not None:
-                try:
-                    key = ("dismax",) + tuple(
-                        sub._memo_key() for sub in subs)
-                except AttributeError:
-                    memo = None
-                else:
-                    cached = memo.get(key)
-                    if cached is not None:
-                        cmap, doc_ids, doc_set = cached
-                        self._contributors = cmap
-                        if self._doc_ids is None:
-                            self._doc_ids = doc_ids
-                        if self._doc_set is None:
-                            self._doc_set = doc_set
-                        return cmap
-        cmap = {}
-        for position, sub in enumerate(subs):
-            pairs = getattr(sub, "contributions", lambda: None)()
-            if pairs is None:
-                # no typed frequency column behind this sub — store
-                # it bare and probe per doc at scoring time (the map
-                # is then query-local: probes need live scorers)
-                memo = None
-                pairs = ((doc_id, None) for doc_id in sub.doc_ids())
-            for doc_id, contribution in pairs:
-                entry = cmap.get(doc_id)
-                if entry is None:
-                    cmap[doc_id] = entry = []
-                entry.append((position, contribution))
-        if memo is not None:
-            doc_ids = sorted(cmap)
-            doc_set = set(doc_ids)
-            memo[key] = (cmap, doc_ids, doc_set)
-            if self._doc_ids is None:
-                self._doc_ids = doc_ids
-            if self._doc_set is None:
-                self._doc_set = doc_set
-        self._contributors = cmap
-        return cmap
-
-    def max_contribution(self) -> float:
-        bounds = [sub.max_contribution() for sub in self._subs]
-        if not bounds:
-            return 0.0
-        best, total = max(bounds), sum(bounds)
-        tie = self._tie_breaker
-        if tie <= 0.0:
-            bound = best
-        elif tie <= 1.0:
-            bound = (1.0 - tie) * best + tie * total
-        else:
-            bound = tie * total
-        return bound * self._boost
-
-    def doc_ids(self) -> List[int]:
-        ids = self._doc_ids
-        if ids is None:
-            ids = sorted(self.doc_id_set())
-            self._doc_ids = ids
-        return ids
-
-    def doc_id_set(self) -> Set[int]:
-        docs = self._doc_set
-        if docs is None:
-            cmap = self._contributors
-            if cmap is None:
-                cmap = self._contributor_map()
-            docs = set(cmap)
-            self._doc_set = docs
-        return docs
-
-    def score_one(self, doc_id: int) -> Optional[float]:
-        # mirrors score_docs: the running max starts at 0.0 (the
-        # dict-get default), so a doc only matches once some sub-score
-        # exceeds 0.0 — and the total still sums every sub-score.
-        # Sub-scorers that do not contain the doc would return None
-        # and contributed nothing in the exhaustive path either, so
-        # consulting only the contributors leaves the float sequence
-        # unchanged.
-        cmap = self._contributors
-        if cmap is None:
-            cmap = self._contributor_map()
-        entries = cmap.get(doc_id)
-        if entries is None:
-            return None
-        subs = self._subs
-        best = 0.0
-        matched = False
-        total = 0.0
-        for position, score in entries:
-            if score is None:
-                # bare contributor: probe it now (its own accounting)
-                score = subs[position].score_one(doc_id)
-                if score is None:
-                    continue
-            else:
-                # one posting consulted, same count score_one charges
-                subs[position].scanned += 1
-            if score > best:
-                best = score
-                matched = True
-            total += score
-        if not matched:
-            return None
-        if self._tie_breaker:
-            rest = total - best
-            best += self._tie_breaker * rest
-        if self._boost != 1.0:
-            best *= self._boost
-        return best
-
-    def postings_scanned(self) -> int:
-        return sum(sub.postings_scanned() for sub in self._subs)
 
 
 class Occur(Enum):
@@ -792,107 +313,9 @@ class BooleanQuery(Query):
             combined[doc_id] = score * coord * self.boost
         return combined
 
-    def scorer(self, index: InvertedIndex,
-               similarity: Similarity) -> Optional["BooleanScorer"]:
-        musts, shoulds, nots = [], [], []
-        for clause in self.clauses:
-            sub = clause.query.scorer(index, similarity)
-            if sub is None:
-                return None
-            {Occur.MUST: musts, Occur.SHOULD: shoulds,
-             Occur.MUST_NOT: nots}[clause.occur].append(sub)
-        if not musts and not shoulds:
-            return None
-        return BooleanScorer(self, similarity, musts, shoulds, nots)
-
     def __str__(self) -> str:
         rendered = []
         marker = {Occur.MUST: "+", Occur.SHOULD: "", Occur.MUST_NOT: "-"}
         for clause in self.clauses:
             rendered.append(f"{marker[clause.occur]}({clause.query})")
         return " ".join(rendered)
-
-
-class BooleanScorer(Scorer):
-    """Single-doc boolean scoring with Lucene semantics.
-
-    Replicates :meth:`BooleanQuery.score_docs` per document: MUST
-    scores sum in clause order, then SHOULD contributions in clause
-    order, then the coordination factor and boost — the same
-    floating-point sequence as the exhaustive path.
-    """
-
-    __slots__ = ("musts", "shoulds", "nots", "_similarity",
-                 "_total_clauses", "_boost", "_not_docs")
-
-    def __init__(self, query: "BooleanQuery", similarity: Similarity,
-                 musts: List[Scorer], shoulds: List[Scorer],
-                 nots: List[Scorer]) -> None:
-        super().__init__()
-        self.musts = musts
-        self.shoulds = shoulds
-        self.nots = nots
-        self._similarity = similarity
-        self._total_clauses = len(musts) + len(shoulds)
-        self._boost = query.boost
-        self._not_docs: Optional[Set[int]] = None
-
-    @property
-    def boost(self) -> float:
-        return self._boost
-
-    def excluded_docs(self) -> Set[int]:
-        """Union of the MUST_NOT clauses' matches (memoized)."""
-        if self._not_docs is None:
-            excluded: Set[int] = set()
-            for sub in self.nots:
-                excluded |= sub.doc_id_set()
-            self._not_docs = excluded
-        return self._not_docs
-
-    def max_contribution(self) -> float:
-        # coord <= 1, so the clause-bound sum times boost dominates
-        total = sum(sub.max_contribution()
-                    for sub in self.musts + self.shoulds)
-        return total * self._boost
-
-    def doc_ids(self) -> List[int]:
-        return sorted(self.doc_id_set())
-
-    def doc_id_set(self) -> Set[int]:
-        if self.musts:
-            # copy before intersecting in place: sub doc-id sets may
-            # be memoized and shared across scorers
-            matching = set(self.musts[0].doc_id_set())
-            for sub in self.musts[1:]:
-                matching &= sub.doc_id_set()
-        else:
-            matching = set()
-            for sub in self.shoulds:
-                matching |= sub.doc_id_set()
-        return matching - self.excluded_docs()
-
-    def score_one(self, doc_id: int) -> Optional[float]:
-        if doc_id in self.excluded_docs():
-            return None
-        score = 0.0
-        matched = 0
-        for sub in self.musts:
-            contribution = sub.score_one(doc_id)
-            if contribution is None:
-                return None
-            score += contribution
-            matched += 1
-        for sub in self.shoulds:
-            contribution = sub.score_one(doc_id)
-            if contribution is not None:
-                score += contribution
-                matched += 1
-        if not self.musts and matched == 0:
-            return None
-        coord = self._similarity.coord(matched, self._total_clauses)
-        return score * coord * self._boost
-
-    def postings_scanned(self) -> int:
-        return sum(sub.postings_scanned()
-                   for sub in self.musts + self.shoulds + self.nots)

@@ -7,13 +7,14 @@ Query serving runs through three layers, fastest first:
    component makes invalidation implicit: any index mutation bumps
    the counter, so stale entries simply stop being addressable and
    age out of the LRU.
-2. **pruned top-k** — when the query supports per-clause score upper
-   bounds (:meth:`Query.scorer`) and a ``limit`` is given, the
-   MaxScore driver (:mod:`repro.search.topk`) skips documents that
-   cannot enter the top k.  Results are bit-identical to exhaustive
-   scoring (same docs, order, floats).
+2. **pruned top-k** — when a ``limit`` is given and the query
+   compiles to a flat plan (term, DisMax and boolean trees, see
+   :func:`repro.search.topk.compile_plan`), the MaxScore driver
+   (:mod:`repro.search.topk`) skips documents that cannot enter the
+   top k.  Results are bit-identical to exhaustive scoring (same
+   docs, order, floats).
 3. **exhaustive scoring** — the oracle path; also serves unlimited
-   searches and query types without scorers.  Exposed directly as
+   searches and query shapes without a plan.  Exposed directly as
    :meth:`IndexSearcher.search_exhaustive` for parity testing.
 """
 
@@ -31,7 +32,7 @@ from repro.search.index.inverted import InvertedIndex
 from repro.search.index.writer import CacheInfo
 from repro.search.query.queries import Query
 from repro.search.similarity import ClassicSimilarity, Similarity
-from repro.search.topk import run_top_k
+from repro.search.topk import compile_plan, run_top_k, score_doc
 
 __all__ = ["ScoredDoc", "TopDocs", "QueryResultCache", "IndexSearcher",
            "rank_docs"]
@@ -390,8 +391,8 @@ class IndexSearcher:
                     if result.blocks_scored or result.blocks_pruned:
                         obs.metrics.counter(
                             "query_blocks_scored_total",
-                            "skip blocks scored through the batched "
-                            "block path"
+                            "skip blocks of a lone surviving term "
+                            "clause admitted for scoring"
                         ).inc(result.blocks_scored)
                         obs.metrics.counter(
                             "query_blocks_pruned_total",
@@ -444,13 +445,13 @@ class IndexSearcher:
     def explain(self, query: Query, doc_id: int) -> float:
         """Score of ``doc_id`` under ``query`` (0.0 when not matched).
 
-        Uses the single-document scorer path when available — O(query
-        terms) instead of re-scoring the whole index — and falls back
-        to the exhaustive map for query types without scorers."""
+        A query that compiles to a plan is scored against the one view
+        holding the document — O(query terms) postings probes instead
+        of re-scoring the whole index; other query shapes fall back to
+        the exhaustive map."""
+        plan = compile_plan(query)
         with self._pinned_index() as index:
-            scorer = query.scorer(index, self.similarity)
-            if scorer is not None:
-                score = scorer.score_one(doc_id)
-                return 0.0 if score is None else score
+            if plan is not None:
+                return score_doc(index, self.similarity, plan, doc_id)
             return query.score_docs(index,
                                     self.similarity).get(doc_id, 0.0)

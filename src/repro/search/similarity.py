@@ -45,8 +45,8 @@ class Similarity:
         hoisted out of the per-document loop.
 
         Every value it returns must be **bit-identical** to
-        :meth:`score` with the same arguments — the batched block
-        scorer relies on that for its parity guarantee.  The default
+        :meth:`score` with the same arguments — the top-k plan's
+        contribution column relies on that for its parity guarantee.  The default
         simply defers to :meth:`score`, so custom similarities are
         correct without opting in; built-ins override it because the
         hot loop calls this once per document.

@@ -15,6 +15,7 @@ import pytest
 from repro.core import IndexName
 from repro.evaluation import EvaluationHarness
 from repro.evaluation.queries import TABLE3_QUERIES, TABLE6_QUERIES
+from repro.search.topk import run_top_k
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +109,31 @@ class TestSegmentedGoldenParity:
                   for h in engine.search(q.keywords, limit=10)]
                  for q in TABLE3_QUERIES]
         assert after == before
+
+
+class TestServedQueriesCompileToPlans:
+    """Every query the table engines build compiles to a top-k plan:
+    the pruned path serves it (no exhaustive fallback) and matches the
+    exhaustive oracle bit for bit."""
+
+    def assert_served_by_plan(self, engine, query):
+        searcher = engine.searcher
+        result = run_top_k(engine.index, searcher.similarity, query, 10)
+        assert result is not None, query
+        oracle = searcher.search_exhaustive(query, 10)
+        assert result.ranked == [(hit.doc_id, hit.score)
+                                 for hit in oracle]
+        assert result.total_hits == oracle.total_hits
+
+    def test_keyword_queries(self, segmented_result):
+        for name in IndexName.LADDER:
+            engine = segmented_result.engine(name)
+            for query in (*TABLE3_QUERIES, *TABLE6_QUERIES):
+                self.assert_served_by_plan(
+                    engine, engine.build_query(query.keywords))
+
+    def test_phrasal_queries(self, segmented_result):
+        phrasal = segmented_result.engine(IndexName.PHR_EXP)
+        for query in (*TABLE3_QUERIES, *TABLE6_QUERIES):
+            self.assert_served_by_plan(
+                phrasal.engine, phrasal.build_query(query.keywords))

@@ -10,6 +10,7 @@ the previously committed state.
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,6 +188,60 @@ class TestVacuum:
              f"{SEGMENTS_PREFIX}{live.generation}"])
         with SegmentedIndex(directory) as index:
             assert index.doc_count == 9
+
+
+class TestConcurrentMutators:
+    """A live ingest (``add_index``) and the maintenance merge
+    (``merge`` + ``vacuum``) share one directory.  Both read, modify
+    and commit the manifest and allocate segment names, so unless they
+    serialize, a merge can commit a manifest planned before an ingest
+    landed — dropping the ingested segment, which vacuum then
+    deletes."""
+
+    def test_ingest_racing_merge_and_vacuum_loses_nothing(self, tmp_path):
+        directory = IndexDirectory(tmp_path / "race.segd", name="race")
+        errors = []
+        added = []
+        ingest_done = threading.Event()
+
+        def ingest():
+            try:
+                for number in range(40):
+                    chunk = InvertedIndex("race")
+                    doc_id = chunk.new_doc_id()
+                    chunk.index_terms(doc_id, "f", [("goal", 0)])
+                    chunk.store_value(doc_id, "doc_key", f"doc-{number}")
+                    directory.add_index(chunk)
+                    added.append(f"doc-{number}")
+            except Exception as error:   # noqa: BLE001 — asserted below
+                errors.append(error)
+            finally:
+                ingest_done.set()
+
+        def maintain():
+            try:
+                while not ingest_done.is_set():
+                    directory.merge(merge_factor=2)
+                    directory.vacuum()
+            except Exception as error:   # noqa: BLE001 — asserted below
+                errors.append(error)
+
+        threads = [threading.Thread(target=ingest),
+                   threading.Thread(target=maintain)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(added) == 40
+        with SegmentedIndex(directory) as index:
+            keys = sorted(index.stored_value(doc_id, "doc_key")
+                          for doc_id in range(index.doc_count))
+            assert keys == sorted(added)
+            top = IndexSearcher(index, cache_size=0).search(
+                TermQuery("f", "goal"), 100)
+            assert top.total_hits == 40
 
 
 class TestCacheInvalidation:

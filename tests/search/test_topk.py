@@ -21,6 +21,26 @@ from repro.search.searcher import IndexSearcher, rank_docs
 from repro.search.similarity import BM25Similarity, ClassicSimilarity
 from repro.search.topk import run_top_k
 
+class CountingSimilarity(ClassicSimilarity):
+    """Counts per-document scoring calls (batched or not)."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def score(self, *args) -> float:
+        self.calls += 1
+        return super().score(*args)
+
+    def batch_score(self, doc_frequency, doc_count, average_field_length):
+        inner = super().batch_score(doc_frequency, doc_count,
+                                    average_field_length)
+
+        def score(term_frequency, field_length):
+            self.calls += 1
+            return inner(term_frequency, field_length)
+        return score
+
+
 VOCAB = ["goal", "messi", "pass", "foul", "corner", "shot", "save"]
 FIELDS = ["event", "narration", "player"]
 
@@ -159,12 +179,13 @@ class TestExplain:
         for _ in range(50):
             doc_id = index.new_doc_id()
             index.index_terms(doc_id, "event", [("goal", 0)])
-        searcher = IndexSearcher(index, ClassicSimilarity(), cache_size=0)
+        similarity = CountingSimilarity()
+        searcher = IndexSearcher(index, similarity, cache_size=0)
         query = TermQuery("event", "goal")
-        scorer = query.scorer(index, searcher.similarity)
-        scorer.score_one(7)
-        # one explained document -> one posting read, not fifty
-        assert scorer.postings_scanned() == 1
+        score = searcher.explain(query, 7)
+        # one explained document -> one posting scored, not fifty
+        assert similarity.calls == 1
+        assert score == searcher.search_exhaustive(query, 1).scored[0].score
 
 
 class TestBoundedRankDocs:

@@ -11,6 +11,8 @@ import urllib.request
 import pytest
 
 from repro.core import IndexName
+from repro.search.searcher import IndexSearcher
+from repro.search.similarity import BM25Similarity
 from repro.serve import ReproService, ServiceConfig
 
 
@@ -310,12 +312,18 @@ class TestPostingsCacheUnderServing:
         misses = sum(reader.postings_cache_info().misses
                      for reader in readers)
         assert misses > 0
-        # same terms again with the result cache out of the way:
-        # every postings fetch must now be a cache hit
+        # same query again with the result cache out of the way: the
+        # segment views' plan memos answer it without fetching postings
         engine.searcher.cache.clear()
         before_hits = sum(reader.postings_cache_info().hits
                           for reader in readers)
         engine.search("yellow card", limit=3)
+        assert sum(reader.postings_cache_info().hits
+                   for reader in readers) == before_hits
+        # the same terms under another similarity miss those memos and
+        # refetch postings: every fetch must now be a cache hit
+        other = IndexSearcher(index, BM25Similarity(), cache_size=0)
+        other.search(engine.build_query("yellow card"), limit=3)
         after_hits = sum(reader.postings_cache_info().hits
                          for reader in readers)
         assert after_hits > before_hits
